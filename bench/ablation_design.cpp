@@ -71,11 +71,14 @@ void loader_ablation() {
   Table t({"replicas", "classification cycles", "vs 2 replicas"});
   const DynamicGraph g =
       datasets::load("FK", bench::scale(), bench::snapshots());
+  // One plan of the first window, modelled at every replica count.
+  const WindowPlan plan =
+      build_window_plan(g, {0, 4}, /*reuse=*/false, /*layers=*/0);
   Cycle ref = 0;
   for (const std::size_t rep : {1u, 2u, 4u}) {
     TagnnConfig cfg;
     cfg.loader_replicas = rep;
-    const MsdlResult r = Msdl(cfg).process_window(g, {0, 4});
+    const MsdlResult r = Msdl(cfg).process_window(g, plan);
     if (rep == 2) ref = r.classification_cycles;
     t.add_row({std::to_string(rep), std::to_string(r.classification_cycles),
                ref ? Table::num(static_cast<double>(r.classification_cycles) /

@@ -23,7 +23,7 @@ void fig13a() {
     TagnnConfig full;
     TagnnConfig no_oadl = full;     // MSDL + DCU reuse path off
     no_oadl.enable_oadl = false;
-    TagnnConfig naive_disp = full;  // round-robin dispatcher
+    TagnnConfig naive_disp = full;  // contiguous-range dispatcher
     naive_disp.balanced_dispatch = false;
     TagnnConfig no_adsc = full;     // Adaptive RNN Unit off
     no_adsc.enable_adsc = false;

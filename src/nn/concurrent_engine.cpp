@@ -14,14 +14,13 @@
 // a helper thread while window i's GNN/RNN compute proceeds — the
 // software analogue of the accelerator's MSDL prefetch. Every overhead
 // artefact is a pure function of the immutable snapshots, so the
-// pipelined schedule is byte-identical to the serial one.
+// pipelined schedule is byte-identical to the serial one. The caller's
+// plan hook runs right after each plan is built, on the same thread.
 #include <cstdint>
 #include <future>
 #include <mutex>
 
 #include "common/thread_pool.hpp"
-#include "graph/affected_subgraph.hpp"
-#include "graph/ocsr.hpp"
 #include "nn/engine.hpp"
 #include "nn/engine_detail.hpp"
 #include "nn/gcn.hpp"
@@ -33,43 +32,25 @@
 namespace tagnn {
 namespace {
 
-// Everything the overhead phase derives for one window.
-struct WindowOverhead {
-  WindowClassification cls;
-  std::vector<std::vector<bool>> unchanged;  // per layer (gnn_reuse only)
-  // The same per-layer sets as ascending row lists, so the compute
-  // phase iterates/copies exactly the rows it needs instead of
-  // re-scanning an n-wide mask per (layer, snapshot).
-  std::vector<std::vector<VertexId>> changed_rows;
-  std::vector<std::vector<VertexId>> unchanged_rows;
-  AffectedSubgraph sub;
-  OCsr ocsr;
-  double seconds = 0;  // CPU seconds spent deriving the artefacts
+// One window's plan and the seconds spent building it (the overhead
+// phase; the hook's own time is not charged).
+struct TimedPlan {
+  WindowPlan plan;
+  double seconds = 0;
 };
 
-WindowOverhead compute_overhead(const DynamicGraph& g, Window w,
-                                bool gnn_reuse, std::size_t layers) {
-  WindowOverhead ov;
-  // Accumulates into the window-local ov.seconds (not the shared result
-  // struct): in pipelined mode this runs on a helper thread.
-  obs::ScopedTimer timer(&ov.seconds, "concurrent.overhead", "engine",
-                         "tagnn.engine.overhead_seconds");
-  ov.cls = classify_window(g, w);
-  if (gnn_reuse) {
-    ov.unchanged = unchanged_per_layer(g, w, ov.cls, layers);
-    const VertexId n = g.num_vertices();
-    ov.changed_rows.resize(layers);
-    ov.unchanged_rows.resize(layers);
-    for (std::size_t l = 0; l < layers; ++l) {
-      for (VertexId v = 0; v < n; ++v) {
-        (ov.unchanged[l][v] ? ov.unchanged_rows : ov.changed_rows)[l]
-            .push_back(v);
-      }
-    }
+TimedPlan plan_window(const DynamicGraph& g, Window w, bool gnn_reuse,
+                      std::size_t layers, const PlanHook& on_plan) {
+  TimedPlan tp;
+  {
+    // Accumulates into the window-local tp.seconds (not the shared
+    // result struct): in pipelined mode this runs on a helper thread.
+    obs::ScopedTimer timer(&tp.seconds, "concurrent.overhead", "engine",
+                           "tagnn.engine.overhead_seconds");
+    tp.plan = build_window_plan(g, w, gnn_reuse, layers);
   }
-  ov.sub = extract_affected_subgraph(g, w, ov.cls);
-  ov.ocsr = OCsr::build(g, w, ov.cls, ov.sub);
-  return ov;
+  if (on_plan) on_plan(tp.plan);
+  return tp;
 }
 
 // Charges the feature traffic of one GCN layer over one snapshot under
@@ -121,13 +102,9 @@ void charge_concurrent_traffic(const Snapshot& snap,
 }  // namespace
 
 EngineResult ConcurrentEngine::run(const DynamicGraph& g,
-                                   const DgnnWeights& weights) const {
-  return run(g, weights, nullptr);
-}
-
-EngineResult ConcurrentEngine::run(const DynamicGraph& g,
                                    const DgnnWeights& weights,
-                                   StreamCarry* carry) const {
+                                   StreamCarry* carry,
+                                   const PlanHook& on_plan) const {
   const VertexId n = g.num_vertices();
   TAGNN_CHECK(g.feature_dim() == weights.gnn.front().rows());
   TAGNN_CHECK(opts_.window_size >= 1);
@@ -168,31 +145,35 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
   // Dense delta staging for the batched delta path — rows of listed
   // vertices are fully rewritten on each use, so no re-zeroing.
   Matrix delta_x(n, cell.input_dim()), delta_h(n, cell.hidden());
-  std::future<WindowOverhead> prefetched;
+  std::future<TimedPlan> prefetched;
   for (SnapshotId start = 0; start < total; start += opts_.window_size) {
     const Window w{start,
                    std::min<SnapshotId>(opts_.window_size, total - start)};
     const std::size_t k = w.length;
 
-    // ---- Overhead phase: classification + subgraph + O-CSR. ----
-    // Window 0 (and every window in serial mode) computes inline; the
-    // pipelined schedule finds its artefacts already prefetched and
-    // immediately kicks off the next window's on a helper thread.
-    const WindowOverhead ov =
-        prefetched.valid() ? prefetched.get()
-                           : compute_overhead(g, w, opts_.gnn_reuse, layers);
-    res.seconds.overhead += ov.seconds;
+    // ---- Overhead phase: the window plan. ----
+    // Window 0 (and every window in serial mode) is planned inline; the
+    // pipelined schedule finds its plan already prefetched and
+    // immediately kicks off the next window's on a helper thread. That
+    // launch follows get(), so hook calls never overlap.
+    const TimedPlan tp =
+        prefetched.valid()
+            ? prefetched.get()
+            : plan_window(g, w, opts_.gnn_reuse, layers, on_plan);
+    res.seconds.overhead += tp.seconds;
     if (opts_.pipeline_windows && start + opts_.window_size < total) {
       const SnapshotId ns = start + opts_.window_size;
       const Window nw{ns, std::min<SnapshotId>(opts_.window_size, total - ns)};
-      prefetched = std::async(
-          std::launch::async, [&g, nw, reuse = opts_.gnn_reuse, layers] {
-            return compute_overhead(g, nw, reuse, layers);
-          });
+      prefetched = std::async(std::launch::async,
+                              [&g, nw, reuse = opts_.gnn_reuse, layers,
+                               &on_plan] {
+                                return plan_window(g, nw, reuse, layers,
+                                                   on_plan);
+                              });
     }
-    const WindowClassification& cls = ov.cls;
-    const std::vector<std::vector<bool>>& unchanged = ov.unchanged;
-    const OCsr& ocsr = ov.ocsr;
+    const WindowPlan& plan = tp.plan;
+    const WindowClassification& cls = plan.cls;
+    const OCsr& ocsr = plan.ocsr;
 
     // ---- Load phase: stored rows once, weights once per window. ----
     obs::ScopedTimer t_load(&res.seconds.load, "concurrent.load", "engine",
@@ -200,12 +181,8 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
     res.load_counts.structure_bytes += ocsr.structure_bytes();
     res.load_counts.feature_bytes += ocsr.feature_bytes();
     // Unaffected vertices outside the O-CSR still stream in once.
-    std::size_t outside_rows = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      if (!ocsr.has_feature(v, w.start)) ++outside_rows;
-    }
     res.load_counts.feature_bytes +=
-        static_cast<double>(outside_rows) * g.feature_dim() * 4.0;
+        static_cast<double>(plan.outside_rows) * g.feature_dim() * 4.0;
     res.load_counts.weight_bytes +=
         static_cast<double>(weights.gnn_param_count() +
                             weights.rnn_param_count()) *
@@ -229,14 +206,14 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
         fwd.count_feature_traffic = !opts_.gnn_reuse;
         const std::vector<VertexId>* compute_rows = nullptr;
         if (opts_.gnn_reuse && tk > 0) {
-          compute_rows = &ov.changed_rows[l];
+          compute_rows = &plan.changed_rows[l];
           fwd.compute_rows = compute_rows;
         }
         gcn_layer_forward(snap, in, weights.gnn[l], fwd, nxt[tk],
                           res.gnn_counts);
         if (opts_.gnn_reuse && tk > 0) {
           // Copy window-unchanged rows from the first snapshot.
-          const std::vector<VertexId>& keep = ov.unchanged_rows[l];
+          const std::vector<VertexId>& keep = plan.unchanged_rows[l];
           parallel_for(0, keep.size(), [&](std::size_t r0, std::size_t r1) {
             for (std::size_t i = r0; i < r1; ++i) {
               copy(nxt[0].row(keep[i]), nxt[tk].row(keep[i]));
@@ -246,7 +223,7 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
         }
         if (opts_.gnn_reuse) {
           const std::vector<bool>& stable_row =
-              (l == 0) ? cls.feature_stable : unchanged[l - 1];
+              (l == 0) ? cls.feature_stable : plan.unchanged[l - 1];
           std::vector<bool> eq;
           const std::vector<bool>* eq_ptr = nullptr;
           if (opts_.count_redundancy && tk > 0) {

@@ -15,10 +15,12 @@
 // is bit-identical to the ReferenceEngine (tested).
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "graph/dynamic_graph.hpp"
+#include "graph/window_plan.hpp"
 #include "nn/cell_skip.hpp"
 #include "nn/op_counts.hpp"
 #include "nn/weights.hpp"
@@ -106,13 +108,22 @@ struct StreamCarry {
   std::optional<Snapshot> prev_snapshot;
 };
 
+/// Called once per window with the plan the engine executes, in window
+/// order, on the thread that built the plan: with `pipeline_windows`,
+/// every window after the first is planned on a prefetch helper, so the
+/// hook's work overlaps the previous window's compute. Each call
+/// happens-before the next and before run() returns
+/// (the prefetch futures order them), so a hook may update its own
+/// state without a lock.
+using PlanHook = std::function<void(const WindowPlan&)>;
+
 class ConcurrentEngine {
  public:
   explicit ConcurrentEngine(EngineOptions opts = {}) : opts_(opts) {}
-  EngineResult run(const DynamicGraph& g, const DgnnWeights& weights) const;
-  /// Stateful variant: resumes from and updates `carry`.
+  /// With a `carry`, resumes from and updates it (stateful streaming).
   EngineResult run(const DynamicGraph& g, const DgnnWeights& weights,
-                   StreamCarry* carry) const;
+                   StreamCarry* carry = nullptr,
+                   const PlanHook& on_plan = {}) const;
 
  private:
   EngineOptions opts_;

@@ -13,17 +13,19 @@ PipelineSim::PipelineSim(std::vector<std::string> stage_names)
   TAGNN_CHECK(!names_.empty());
 }
 
-void PipelineSim::feed(const std::vector<Cycle>& lat) {
+void PipelineSim::feed(std::initializer_list<Cycle> lat) {
   TAGNN_CHECK_MSG(lat.size() == names_.size(),
-                  "latency vector arity " << lat.size() << " vs "
-                                          << names_.size() << " stages");
+                  "latency list arity " << lat.size() << " vs "
+                                        << names_.size() << " stages");
   Cycle prev_stage_done = 0;
-  for (std::size_t s = 0; s < names_.size(); ++s) {
-    const Cycle l = std::max<Cycle>(1, lat[s]);
+  std::size_t s = 0;
+  for (const Cycle c : lat) {
+    const Cycle l = std::max<Cycle>(1, c);
     const Cycle start = std::max(prev_stage_done, done_[s]);
     done_[s] = start + l;
     busy_[s] += l;
     prev_stage_done = done_[s];
+    ++s;
   }
   ++items_;
 }

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -23,8 +23,9 @@ class PipelineSim {
   explicit PipelineSim(std::vector<std::string> stage_names);
 
   /// Feeds one item whose per-stage latencies are given by `lat`
-  /// (lat.size() == num_stages(), each >= 1 cycle enforced).
-  void feed(const std::vector<Cycle>& lat);
+  /// (lat.size() == num_stages(), each >= 1 cycle enforced). A braced
+  /// list, so feeding allocates nothing per item.
+  void feed(std::initializer_list<Cycle> lat);
 
   std::size_t num_stages() const { return names_.size(); }
   std::size_t items_fed() const { return items_; }

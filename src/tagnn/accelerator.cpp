@@ -69,15 +69,19 @@ Cycle overlap(std::initializer_list<Cycle> parts) {
                                  static_cast<double>(sum - mx));
 }
 
-// Per-window unit cycles and traffic, gathered in the modelling pass;
-// the timeline pass assembles them into the serial or pipelined
-// schedule afterwards (the pipelined makespan of window i depends on
-// window i+1's MSDL cycles, so totals cannot be formed in one pass).
+// Per-window unit cycles and traffic. The plan hook fills in what
+// needs only the graph while the engine runs; the count-dependent tail
+// (memory traffic, RNN cycles) follows once the engine returns, and the
+// timeline pass then assembles the serial or pipelined schedule (the
+// pipelined makespan of window i depends on window i+1's MSDL cycles,
+// so totals cannot be formed in one pass).
 struct WindowSim {
   Window w{};
   Cycle msdl = 0, gnn = 0, rnn = 0;
   Cycle mem_load = 0, mem_gnn = 0, mem_rnn = 0, mem_spill = 0;
   double load_bytes = 0, gnn_bytes = 0, rnn_bytes = 0, spill_bytes = 0;
+  double load_sequential = 0;   // burst-friendliness of the load stream
+  double gnn_stream_scale = 1;  // storage-format inflation of GNN streams
   std::size_t affected = 0;
 
   Cycle mem() const { return mem_load + mem_gnn + mem_rnn + mem_spill; }
@@ -93,88 +97,64 @@ AccelResult TagnnAccelerator::run(const DynamicGraph& g,
                                   bool store_outputs) const {
   TAGNN_CHECK(cfg_.window >= 1);
   const std::size_t layers = weights.config.gnn_layers;
-
-  // --- Functional execution with matching options. ---
-  EngineOptions eng;
-  eng.window_size = cfg_.window;
-  eng.gnn_reuse = cfg_.enable_oadl;
-  eng.cell_skip = cfg_.enable_adsc;
-  eng.thresholds = cfg_.thresholds;
-  eng.store_outputs = store_outputs;
-  eng.count_redundancy = false;  // timing model does not need it
-  AccelResult res;
-  res.functional = ConcurrentEngine(eng).run(g, weights);
-
   const Msdl msdl(cfg_);
-  HbmModel hbm(cfg_.hbm);
+  AccelResult res;
 
-  const SimTracks tracks = SimTracks::open();
-  PingPongBuffer feature_buffer(cfg_.feature_buffer_bytes);
-
-  // ---- Pass 1: per-window unit cycles and traffic. ----
+  // ---- Pass 1: graph-only modelling of each window plan. ----
+  // The engine calls this once per window, in order, on its plan
+  // prefetch thread when it pipelines windows, so the modelling overlaps
+  // the functional compute; `res` is not touched by anything else until
+  // the engine returns.
   std::vector<WindowSim> wins;
   double util_work = 0, util_span = 0;
-  const auto total_snaps = static_cast<SnapshotId>(g.num_snapshots());
-  for (SnapshotId start = 0; start < total_snaps; start += cfg_.window) {
-    const Window w{start,
-                   std::min<SnapshotId>(cfg_.window, total_snaps - start)};
-    ++res.windows;
+  std::vector<DispatchTask> pool;  // reused across every (window, layer)
+  auto model_plan = [&](const WindowPlan& plan) {
+    WindowSim ws;
+    ws.w = plan.window();
+    ws.affected = plan.sub.size();
 
     // ---- MSDL: loader pipelines + format-dependent load traffic. ----
-    Cycle msdl_cycles = 0;
-    Cycle mem_load = 0, mem_gnn = 0, mem_rnn = 0, mem_spill = 0;
-    MsdlResult load = msdl.process_window(g, w);
+    const MsdlResult load = msdl.process_window(g, plan);
     if (cfg_.enable_oadl) {
-      msdl_cycles = load.total_cycles();
-      mem_load = hbm.transfer(load.dram_bytes, load.sequential_fraction);
-      res.dram_bytes += load.dram_bytes;
+      ws.msdl = load.total_cycles();
     } else if (cfg_.enable_adsc) {
       // ADSC still needs the classification pass for N_sv.
-      msdl_cycles = load.classification_cycles;
+      ws.msdl = load.classification_cycles;
     }
+    ws.load_bytes = load.dram_bytes;
+    ws.load_sequential = load.sequential_fraction;
     accumulate_stages(&res.telemetry.classify_stages, load.classify_stages);
     accumulate_stages(&res.telemetry.traverse_stages, load.traverse_stages);
 
-    // Stage the window working set through the feature ping-pong buffer
-    // (sizing telemetry: high-water mark + bank overflows).
-    const auto staged = static_cast<std::size_t>(
-        std::min<double>(load.dram_bytes, 1e18));
-    if (feature_buffer.produce(staged) < staged) {
-      ++res.telemetry.feature_buffer_overflow_windows;
-    }
-    feature_buffer.swap();
-    feature_buffer.consume(feature_buffer.drain_level());
-
     // ---- GNN: per-layer task pools across all K snapshots. ----
-    std::vector<std::vector<bool>> unchanged;
-    if (cfg_.enable_oadl) {
-      unchanged = unchanged_per_layer(g, w, load.cls, layers);
-    }
-    Cycle gnn_cycles = 0;
+    // The Task Dispatcher pools tasks from *all* snapshots of the
+    // window into one degree-balanced (LPT) assignment — that is the
+    // multi-snapshot parallelism of the paper. The naive baseline
+    // (Fig. 13(a) ablation) dispatches each snapshot separately in
+    // arrival order, so per-snapshot tails and hub skew are exposed.
+    auto dispatch = [&] {
+      const DispatchResult dr =
+          dispatch_tasks(pool, cfg_.num_dcus, cfg_.balanced_dispatch);
+      ws.gnn += dr.makespan;
+      util_work += static_cast<double>(dr.total_work);
+      util_span += static_cast<double>(dr.makespan) *
+                   static_cast<double>(cfg_.num_dcus);
+      pool.clear();
+    };
     std::size_t d_in = g.feature_dim();
     for (std::size_t l = 0; l < layers; ++l) {
       const std::size_t d_out = weights.gnn[l].cols();
-      // The Task Dispatcher pools tasks from *all* snapshots of the
-      // window into one degree-balanced (LPT) assignment — that is the
-      // multi-snapshot parallelism of the paper. The naive baseline
-      // (Fig. 13(a) ablation) dispatches each snapshot separately in
-      // arrival order, so per-snapshot tails and hub skew are exposed.
-      std::vector<std::vector<DispatchTask>> pools(
-          cfg_.balanced_dispatch ? 1 : w.length);
-      for (SnapshotId t = w.start; t < w.end(); ++t) {
+      const Cycle comb = ceil_div(
+          static_cast<double>(d_in) * static_cast<double>(d_out),
+          static_cast<double>(cfg_.cpes_per_dcu));
+      for (SnapshotId t = ws.w.start; t < ws.w.end(); ++t) {
         const Snapshot& snap = g.snapshot(t);
-        auto& pool =
-            pools[cfg_.balanced_dispatch ? 0 : (t - w.start)];
-        for (VertexId v = 0; v < g.num_vertices(); ++v) {
-          if (cfg_.enable_oadl && t > w.start && unchanged[l][v]) continue;
-          if (!snap.present[v]) continue;
+        auto add_task = [&](VertexId v) {
+          if (!snap.present[v]) return;
           const double deg = static_cast<double>(snap.graph.degree(v)) + 1;
           const Cycle agg = ceil_div(
               deg * static_cast<double>(d_in),
               static_cast<double>(cfg_.apes_per_dcu));
-          const Cycle comb = ceil_div(
-              static_cast<double>(d_in) * static_cast<double>(d_out),
-              static_cast<double>(cfg_.cpes_per_dcu));
           // APE (aggregation) and CPE (combination) are separate units
           // inside a DCU and pipeline back-to-back per vertex.
           Cycle task_cycles = std::max(agg, comb) + 1;
@@ -195,80 +175,113 @@ AccelResult TagnnAccelerator::run(const DynamicGraph& g,
             }
           }
           pool.push_back({v, task_cycles});
+        };
+        // OADL computes window-unchanged vertices at the first snapshot
+        // only.
+        if (cfg_.enable_oadl && t > ws.w.start) {
+          for (const VertexId v : plan.changed_rows[l]) add_task(v);
+        } else {
+          for (VertexId v = 0; v < g.num_vertices(); ++v) add_task(v);
         }
+        if (!cfg_.balanced_dispatch) dispatch();
       }
-      for (auto& pool : pools) {
-        const DispatchResult dr = dispatch_tasks(
-            std::move(pool), cfg_.num_dcus, cfg_.balanced_dispatch);
-        gnn_cycles += dr.makespan;
-        util_work += static_cast<double>(dr.total_work);
-        util_span += static_cast<double>(dr.makespan) *
-                     static_cast<double>(cfg_.num_dcus);
-      }
+      if (cfg_.balanced_dispatch) dispatch();
       d_in = d_out;
     }
 
-    // ---- Compute-phase memory traffic (streams via feature buffer). ----
-    // Charged from the functional tallies at window granularity: split
-    // the engine totals evenly across windows (uniform snapshots).
-    const double frac = static_cast<double>(w.length) /
-                        static_cast<double>(total_snaps);
-    const OpCounts gc = res.functional.gnn_counts;
-    double gnn_bytes =
-        (gc.feature_bytes + gc.structure_bytes + gc.output_bytes) * frac;
     // The storage format shapes the per-layer streams too: the engine
     // tallies assume O-CSR's deduplicated layout; CSR re-streams every
     // snapshot's rows and PMA drags gap slots and bitmask tests along,
     // inflating the stream volume by the formats' size ratio.
     if (cfg_.enable_oadl && cfg_.format != StorageFormat::kOcsr) {
       const double ocsr_bytes =
-          static_cast<double>(ocsr_stats(load.ocsr).total_bytes());
+          static_cast<double>(ocsr_stats(plan.ocsr).total_bytes());
       if (ocsr_bytes > 0) {
-        gnn_bytes *= std::max(1.0, load.dram_bytes / ocsr_bytes);
+        ws.gnn_stream_scale = std::max(1.0, load.dram_bytes / ocsr_bytes);
       }
     }
-    mem_gnn = hbm.transfer(
-        gnn_bytes, cfg_.enable_oadl ? load.sequential_fraction : 0.45);
-    res.dram_bytes += gnn_bytes;
 
-    const OpCounts rc = res.functional.rnn_counts;
-    const double rnn_bytes =
-        (rc.feature_bytes + rc.output_bytes + rc.weight_bytes) * frac;
-    mem_rnn = hbm.transfer(rnn_bytes, 0.7);
-    res.dram_bytes += rnn_bytes;
-
-    // ---- Buffer-capacity spill: if the window's staged working set
-    // exceeds the on-chip feature/structure/O-CSR stores, the overflow
-    // is evicted and re-fetched once per additional GNN layer. ----
-    double spill_bytes = 0;
+    // Buffer-capacity spill: if the window's staged working set exceeds
+    // the on-chip feature/structure/O-CSR stores, the overflow is
+    // evicted and re-fetched once per additional GNN layer.
     if (cfg_.enable_oadl && layers > 1) {
       const double capacity =
           static_cast<double>(cfg_.feature_buffer_bytes +
                               cfg_.ocsr_table_bytes +
                               cfg_.structure_memory_bytes);
       const double overflow = std::max(0.0, load.dram_bytes - capacity);
-      if (overflow > 0) {
-        spill_bytes = overflow * static_cast<double>(layers - 1);
-        mem_spill =
-            hbm.transfer(spill_bytes, load.sequential_fraction);
-        res.dram_bytes += spill_bytes;
-      }
+      ws.spill_bytes = overflow * static_cast<double>(layers - 1);
+    }
+    wins.push_back(ws);
+  };
+
+  // --- Functional execution with matching options. ---
+  EngineOptions eng;
+  eng.window_size = cfg_.window;
+  eng.gnn_reuse = cfg_.enable_oadl;
+  eng.cell_skip = cfg_.enable_adsc;
+  eng.thresholds = cfg_.thresholds;
+  eng.store_outputs = store_outputs;
+  eng.count_redundancy = false;  // timing model does not need it
+  res.functional =
+      ConcurrentEngine(eng).run(g, weights, nullptr, model_plan);
+  res.windows = wins.size();
+
+  // ---- Count-dependent tail, in window order. ----
+  // Compute-phase traffic is charged from the functional tallies at
+  // window granularity: the engine totals split evenly across windows
+  // (uniform snapshots), streamed through the feature buffer.
+  HbmModel hbm(cfg_.hbm);
+  PingPongBuffer feature_buffer(cfg_.feature_buffer_bytes);
+  const OpCounts& gc = res.functional.gnn_counts;
+  const OpCounts& rc = res.functional.rnn_counts;
+  const auto total_snaps = static_cast<double>(g.num_snapshots());
+  // Adaptive RNN Unit cycles (from the functional tallies).
+  const RnnCell cell(weights);
+  const std::size_t dz = weights.config.gnn_hidden;
+  const std::size_t gh = weights.gates() * weights.config.rnn_hidden;
+  const double full_each = std::ceil(
+      cell.full_update_macs() / static_cast<double>(cfg_.cpes_per_dcu));
+  const double ndcu = static_cast<double>(cfg_.num_dcus);
+  for (WindowSim& ws : wins) {
+    if (cfg_.enable_oadl) {
+      ws.mem_load = hbm.transfer(ws.load_bytes, ws.load_sequential);
+      res.dram_bytes += ws.load_bytes;
+    }
+    // Stage the window working set through the feature ping-pong buffer
+    // (sizing telemetry: high-water mark + bank overflows).
+    const auto staged = static_cast<std::size_t>(
+        std::min<double>(ws.load_bytes, 1e18));
+    if (feature_buffer.produce(staged) < staged) {
+      ++res.telemetry.feature_buffer_overflow_windows;
+    }
+    feature_buffer.swap();
+    feature_buffer.consume(feature_buffer.drain_level());
+
+    const double frac = static_cast<double>(ws.w.length) / total_snaps;
+    ws.gnn_bytes = (gc.feature_bytes + gc.structure_bytes + gc.output_bytes) *
+                   frac * ws.gnn_stream_scale;
+    ws.mem_gnn = hbm.transfer(
+        ws.gnn_bytes, cfg_.enable_oadl ? ws.load_sequential : 0.45);
+    res.dram_bytes += ws.gnn_bytes;
+
+    ws.rnn_bytes = (rc.feature_bytes + rc.output_bytes + rc.weight_bytes) *
+                   frac;
+    ws.mem_rnn = hbm.transfer(ws.rnn_bytes, 0.7);
+    res.dram_bytes += ws.rnn_bytes;
+
+    if (ws.spill_bytes > 0) {
+      ws.mem_spill = hbm.transfer(ws.spill_bytes, ws.load_sequential);
+      res.dram_bytes += ws.spill_bytes;
     }
 
-    // ---- Adaptive RNN Unit cycles (from functional tallies). ----
-    const RnnCell cell(weights);
-    const std::size_t dz = weights.config.gnn_hidden;
-    const std::size_t gh = weights.gates() * weights.config.rnn_hidden;
     const double avg_deg =
-        static_cast<double>(g.snapshot(w.start).graph.num_edges()) /
+        static_cast<double>(g.snapshot(ws.w.start).graph.num_edges()) /
         std::max<double>(1.0, g.num_vertices());
     const double scu_per_score =
         std::ceil(3.0 * static_cast<double>(dz) /
                   static_cast<double>(cfg_.scu_lanes)) +
         std::ceil(2.0 * avg_deg / static_cast<double>(cfg_.scu_lanes));
-    const double full_each = std::ceil(
-        cell.full_update_macs() / static_cast<double>(cfg_.cpes_per_dcu));
-    const double ndcu = static_cast<double>(cfg_.num_dcus);
     const double rnn_cycles_d =
         (static_cast<double>(rc.similarity_scores) * scu_per_score +
          static_cast<double>(rc.rnn_full) * full_each +
@@ -279,23 +292,7 @@ AccelResult TagnnAccelerator::run(const DynamicGraph& g,
                        static_cast<double>(cfg_.scu_lanes)) +
          static_cast<double>(rc.rnn_skip)) *
         frac / ndcu;
-    const auto rnn_cycles = static_cast<Cycle>(rnn_cycles_d);
-
-    WindowSim sim;
-    sim.w = w;
-    sim.msdl = msdl_cycles;
-    sim.gnn = gnn_cycles;
-    sim.rnn = rnn_cycles;
-    sim.mem_load = mem_load;
-    sim.mem_gnn = mem_gnn;
-    sim.mem_rnn = mem_rnn;
-    sim.mem_spill = mem_spill;
-    sim.load_bytes = load.dram_bytes;
-    sim.gnn_bytes = gnn_bytes;
-    sim.rnn_bytes = rnn_bytes;
-    sim.spill_bytes = spill_bytes;
-    sim.affected = load.subgraph.size();
-    wins.push_back(sim);
+    ws.rnn = static_cast<Cycle>(rnn_cycles_d);
   }
 
   // ---- Pass 2: timeline assembly. ----
@@ -311,6 +308,7 @@ AccelResult TagnnAccelerator::run(const DynamicGraph& g,
   // which saves 0.65 * min(B_i, A_{i+1}) cycles per boundary. Since
   // overlap({...}) >= max(...), T dominates every unit's busy sum, so
   // the busy + stall = total attribution below stays exact.
+  const SimTracks tracks = SimTracks::open();
   Cycle cursor = 0;
   for (std::size_t i = 0; i < wins.size(); ++i) {
     const WindowSim& ws = wins[i];

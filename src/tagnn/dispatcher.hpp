@@ -3,12 +3,13 @@
 // compute unit idles while another drains a hub vertex.
 //
 // `balanced = true` uses longest-processing-time-first greedy (the
-// paper's degree-even division); `false` models a naive round-robin
-// dispatcher for the Fig. 13(a) ablation.
+// paper's degree-even division); `false` models a naive dispatcher for
+// the Fig. 13(a) ablation that splits the tasks into contiguous
+// per-DCU ranges in arrival order.
 #pragma once
 
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "common/types.hpp"
 
@@ -25,7 +26,7 @@ struct DispatchResult {
   double utilization = 0.0;  // total_work / (makespan * num_dcus)
 };
 
-DispatchResult dispatch_tasks(std::vector<DispatchTask> tasks,
+DispatchResult dispatch_tasks(std::span<const DispatchTask> tasks,
                               std::size_t num_dcus, bool balanced);
 
 }  // namespace tagnn

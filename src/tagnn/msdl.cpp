@@ -14,14 +14,11 @@ Cycle ceil_div(std::size_t a, std::size_t b) {
 
 }  // namespace
 
-MsdlResult Msdl::process_window(const DynamicGraph& g, Window w) const {
+MsdlResult Msdl::process_window(const DynamicGraph& g,
+                                const WindowPlan& plan) const {
   MsdlResult r;
-  r.cls = classify_window(g, w);
-  r.subgraph = extract_affected_subgraph(g, w, r.cls);
-  r.ocsr = OCsr::build(g, w, r.cls, r.subgraph);
-
+  const Window w = plan.window();
   const std::size_t k = w.length;
-  const std::size_t d = g.feature_dim();
 
   // Stage latencies are *issue-rate* bound (requests per cycle a stage
   // can originate); the actual HBM service time of the fetched data is
@@ -54,8 +51,7 @@ MsdlResult Msdl::process_window(const DynamicGraph& g, Window w) const {
   // --- 5-stage TFSM traversal pipeline, one feed per subgraph vertex. ---
   PipelineSim traverse({"Fetch_Root", "Fetch_Neighbors", "Type_Detection",
                         "Offsets_Fetching", "Neighbors_Selection"});
-  for (std::size_t i = 0; i < r.subgraph.size(); ++i) {
-    const VertexId v = r.subgraph.vertices[i];
+  for (const VertexId v : plan.sub.vertices) {
     std::size_t deg_sum = 0;
     for (SnapshotId t = w.start; t < w.end(); ++t) {
       deg_sum += g.snapshot(t).graph.degree(v);
@@ -70,12 +66,11 @@ MsdlResult Msdl::process_window(const DynamicGraph& g, Window w) const {
   }
   r.traversal_cycles = traverse.total_cycles();
   r.traverse_stages = traverse.stage_stats();
-  (void)d;
 
   // --- Loader DRAM traffic under the configured storage format. ---
   switch (cfg_.format) {
     case StorageFormat::kOcsr: {
-      const FormatStats fs = ocsr_stats(r.ocsr);
+      const FormatStats fs = ocsr_stats(plan.ocsr);
       r.dram_bytes = static_cast<double>(fs.total_bytes());
       r.sequential_fraction = fs.sequential_fraction;
       break;
@@ -95,11 +90,8 @@ MsdlResult Msdl::process_window(const DynamicGraph& g, Window w) const {
   }
   // Unaffected vertices outside the O-CSR stream in once regardless of
   // format (they are computed once per layer).
-  std::size_t outside = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (!r.ocsr.has_feature(v, w.start)) ++outside;
-  }
-  r.dram_bytes += static_cast<double>(outside) * d * 4.0;
+  r.dram_bytes +=
+      static_cast<double>(plan.outside_rows) * g.feature_dim() * 4.0;
 
   if (obs::telemetry_enabled()) {
     auto& reg = obs::MetricsRegistry::global();
@@ -110,7 +102,7 @@ MsdlResult Msdl::process_window(const DynamicGraph& g, Window w) const {
     static const obs::MetricId kBytes =
         reg.histogram("tagnn.msdl.window_dram_bytes");
     reg.add(kWindows);
-    reg.record(kAffected, static_cast<double>(r.subgraph.size()));
+    reg.record(kAffected, static_cast<double>(plan.sub.size()));
     reg.record(kBytes, r.dram_bytes);
   }
   return r;

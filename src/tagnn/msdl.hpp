@@ -1,6 +1,7 @@
-// Multiple Snapshots Data Loader (MSDL) — functional classification /
-// subgraph extraction plus the cycle model of the two hardware
-// pipelines described in section 4.1:
+// Multiple Snapshots Data Loader (MSDL) — the cycle model of the two
+// hardware pipelines described in section 4.1, run over a window plan
+// (graph/window_plan.hpp) that already holds the classification,
+// affected subgraph and O-CSR:
 //   * 6-stage vertex-classification pipeline: Fetch_Vertex,
 //     Fetch_Snapshot, Fetch_Offsets, Fetch_Neighbors, Fetch_Features,
 //     Identify_Vertices;
@@ -8,17 +9,13 @@
 //     Type_Detection, Offsets_Fetching, Neighbors_Selection.
 #pragma once
 
-#include "graph/affected_subgraph.hpp"
-#include "graph/ocsr.hpp"
+#include "graph/window_plan.hpp"
 #include "sim/pipeline.hpp"
 #include "tagnn/config.hpp"
 
 namespace tagnn {
 
 struct MsdlResult {
-  WindowClassification cls;
-  AffectedSubgraph subgraph;
-  OCsr ocsr;
   Cycle classification_cycles = 0;
   Cycle traversal_cycles = 0;
   /// Bytes the loader pulled from HBM (structure + deduplicated
@@ -40,9 +37,9 @@ class Msdl {
  public:
   explicit Msdl(const TagnnConfig& cfg) : cfg_(cfg) {}
 
-  /// Runs classification + traversal for one window and models the
-  /// pipeline cycles.
-  MsdlResult process_window(const DynamicGraph& g, Window w) const;
+  /// Models the loader pipelines and load traffic of one planned window.
+  MsdlResult process_window(const DynamicGraph& g,
+                            const WindowPlan& plan) const;
 
  private:
   const TagnnConfig& cfg_;

@@ -124,32 +124,53 @@ INSTANTIATE_TEST_SUITE_P(Windows, ExactnessWindowSweep,
 
 class DispatcherSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Comparison-sort LPT: the makespan the dispatcher's counting sort must
+// reproduce exactly.
+Cycle sorted_lpt_makespan(std::vector<DispatchTask> tasks,
+                          std::size_t dcus) {
+  std::sort(tasks.begin(), tasks.end(),
+            [](const DispatchTask& a, const DispatchTask& b) {
+              return a.cycles > b.cycles;
+            });
+  std::vector<Cycle> load(dcus, 0);
+  for (const DispatchTask& t : tasks) {
+    *std::min_element(load.begin(), load.end()) += t.cycles;
+  }
+  return *std::max_element(load.begin(), load.end());
+}
+
 TEST_P(DispatcherSeeds, MakespanBounds) {
   Rng rng(GetParam());
-  std::vector<DispatchTask> tasks;
-  Cycle total = 0, longest = 0;
-  const std::size_t n = 200 + rng.next_below(300);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Cycle c = 1 + rng.next_below(100);
-    tasks.push_back({static_cast<VertexId>(i), c});
-    total += c;
-    longest = std::max(longest, c);
-  }
-  for (const std::size_t dcus : {1u, 4u, 16u}) {
-    for (const bool balanced : {true, false}) {
-      const DispatchResult r = dispatch_tasks(tasks, dcus, balanced);
-      // Lower bounds: the longest task, and perfect division.
-      EXPECT_GE(r.makespan, longest);
-      EXPECT_GE(r.makespan,
-                (total + dcus - 1) / dcus);
-      EXPECT_LE(r.makespan, total);
-      EXPECT_EQ(r.total_work, total);
-      if (balanced) {
-        // LPT guarantee: within 4/3 of the optimum (≥ ceil(total/m)).
-        const double lower = std::max<double>(
-            static_cast<double>(longest),
-            static_cast<double>(total) / static_cast<double>(dcus));
-        EXPECT_LE(static_cast<double>(r.makespan), 4.0 / 3.0 * lower + 1.0);
+  // Unit scale exercises the counting sort; the wide scale pushes task
+  // cycles past its range and onto the comparison-sort fallback.
+  for (const Cycle scale : {Cycle{1}, Cycle{1} << 24}) {
+    std::vector<DispatchTask> tasks;
+    Cycle total = 0, longest = 0;
+    const std::size_t n = 200 + rng.next_below(300);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Cycle c = (1 + rng.next_below(100)) * scale;
+      tasks.push_back({static_cast<VertexId>(i), c});
+      total += c;
+      longest = std::max(longest, c);
+    }
+    for (const std::size_t dcus : {1u, 4u, 16u}) {
+      for (const bool balanced : {true, false}) {
+        const DispatchResult r = dispatch_tasks(tasks, dcus, balanced);
+        // Lower bounds: the longest task, and perfect division.
+        EXPECT_GE(r.makespan, longest);
+        EXPECT_GE(r.makespan, (total + dcus - 1) / dcus);
+        EXPECT_LE(r.makespan, total);
+        EXPECT_EQ(r.total_work, total);
+        if (balanced) {
+          EXPECT_EQ(r.makespan, sorted_lpt_makespan(tasks, dcus))
+              << dcus << " DCUs, scale " << scale;
+          // LPT guarantee: within 4/3 of the optimum (≥ ceil(total/m)).
+          const double lower = std::max<double>(
+              static_cast<double>(longest),
+              static_cast<double>(total) / static_cast<double>(dcus));
+          EXPECT_LE(static_cast<double>(r.makespan),
+                    4.0 / 3.0 * lower + static_cast<double>(scale));
+        }
       }
     }
   }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -250,11 +251,21 @@ TEST(EngineThreadsStress, PipelinedOverheadPrefetchIsRaceFreeAndExact) {
   // The pipelined engine computes window i+1's overhead phase on a
   // std::async helper while window i's GNN/RNN runs on the pool — under
   // TSan this exercises the helper thread against the pool workers.
-  // Many short windows maximise the number of prefetch handoffs.
+  // Many short windows maximise the number of prefetch handoffs. The
+  // plan hook appends to an unsynchronised vector: only the prefetch
+  // futures order its calls, so TSan flags a missing edge, and the
+  // vector must list every window once, in order.
   const Scenario s = make_scenario();
   EngineOptions opts;
   opts.window_size = 1;  // one handoff per snapshot
   opts.store_outputs = false;
+  std::vector<SnapshotId> all_starts(s.g.num_snapshots());
+  std::iota(all_starts.begin(), all_starts.end(), SnapshotId{0});
+  auto record_starts = [](std::vector<SnapshotId>* starts) {
+    return [starts](const WindowPlan& plan) {
+      starts->push_back(plan.window().start);
+    };
+  };
 
   Matrix serial_hidden;
   {
@@ -264,16 +275,36 @@ TEST(EngineThreadsStress, PipelinedOverheadPrefetchIsRaceFreeAndExact) {
     serial_hidden = ConcurrentEngine(serial).run(s.g, s.w).final_hidden;
   }
 
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    ScopedGlobalThreadPool scoped(threads);
+    for (const bool piped : {true, false}) {
+      EngineOptions o = opts;
+      o.pipeline_windows = piped;
+      std::vector<SnapshotId> starts;
+      const EngineResult r = ConcurrentEngine(o).run(
+          s.g, s.w, nullptr, record_starts(&starts));
+      EXPECT_EQ(starts, all_starts)
+          << threads << " threads, pipelined " << piped;
+      EXPECT_EQ(max_abs_diff(r.final_hidden, serial_hidden), 0.0f)
+          << threads << " threads, pipelined " << piped;
+    }
+  }
+
   ScopedGlobalThreadPool scoped(4);
   constexpr std::size_t kRunners = 3;
   constexpr int kRounds = 5;
   std::vector<Matrix> hidden(kRunners);
+  std::vector<std::vector<SnapshotId>> starts(kRunners);
   std::vector<std::thread> runners;
   runners.reserve(kRunners);
   for (std::size_t r = 0; r < kRunners; ++r) {
     runners.emplace_back([&, r] {
       for (int round = 0; round < kRounds; ++round) {
-        hidden[r] = ConcurrentEngine(opts).run(s.g, s.w).final_hidden;
+        starts[r].clear();
+        hidden[r] = ConcurrentEngine(opts)
+                        .run(s.g, s.w, nullptr, record_starts(&starts[r]))
+                        .final_hidden;
       }
     });
   }
@@ -281,6 +312,7 @@ TEST(EngineThreadsStress, PipelinedOverheadPrefetchIsRaceFreeAndExact) {
   for (std::size_t r = 0; r < kRunners; ++r) {
     EXPECT_EQ(max_abs_diff(hidden[r], serial_hidden), 0.0f)
         << "runner " << r;
+    EXPECT_EQ(starts[r], all_starts) << "runner " << r;
   }
 }
 

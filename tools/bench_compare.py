@@ -2,7 +2,7 @@
 """Gate a bench_regress or loadgen run against a checked-in baseline.
 
 Usage: tools/bench_compare.py RESULT.json BASELINE.json [--tolerance F]
-                              [--cycles-tolerance F] [--latency-tolerance F]
+                              [--latency-tolerance F]
 
 Two modes, selected by the RESULT document's schema:
 
@@ -20,12 +20,12 @@ on the host); it compares quantities that are stable across machines:
                  entry for the result's gemm variant overrides the flat
                  "speedup" floor, so a forced-scalar CI leg is gated
                  against scalar expectations instead of AVX2 ones.
-  * macs/bytes — deterministic workload fingerprints. Any mismatch
-                 means the benchmark's workload changed and the baseline
-                 must be refreshed (see docs/PERFORMANCE.md); reported
-                 as a failure so the change is made consciously.
-  * cycles     — simulated accelerator cycles (deterministic). A rise
-                 above baseline * (1 + cycles-tolerance) fails.
+  * macs/bytes/cycles — deterministic fingerprints: the workload's
+                 operation and byte counts and the simulated accelerator
+                 cycles. Any mismatch means the workload or the cycle
+                 model changed and the baseline must be refreshed (see
+                 docs/PERFORMANCE.md); reported as a failure so the
+                 change is made consciously.
   * memory     — a baseline entry may carry an optional
                  "mem_ceiling_bytes": the gate fails when the result's
                  tracked-allocation high-water ("mem_high_water_bytes",
@@ -168,8 +168,6 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("--tolerance", type=float, default=0.15,
                     help="allowed relative speedup drop (default 0.15)")
-    ap.add_argument("--cycles-tolerance", type=float, default=0.15,
-                    help="allowed relative cycle increase (default 0.15)")
     ap.add_argument("--latency-tolerance", type=float, default=0.0,
                     help="extra headroom on serving latency ceilings "
                          "(default 0)")
@@ -200,19 +198,13 @@ def main():
                 f"{name}: speedup {cur['speedup']:.2f}x < floor "
                 f"{floor:.2f}x ({result_isa} baseline {base_speedup:.2f}x, "
                 f"tolerance {args.tolerance:.0%})")
-        for field in ("macs", "bytes"):
+        for field in ("macs", "bytes", "cycles"):
             if cur[field] != base[field]:
                 status = "WORKLOAD"
                 failures.append(
                     f"{name}: {field} changed {base[field]:g} -> "
-                    f"{cur[field]:g}; workload drifted, refresh the "
-                    f"baseline (docs/PERFORMANCE.md)")
-        ceil = base["cycles"] * (1.0 + args.cycles_tolerance)
-        if base["cycles"] > 0 and cur["cycles"] > ceil:
-            status = "CYCLES"
-            failures.append(
-                f"{name}: cycles {cur['cycles']:g} > ceiling {ceil:g} "
-                f"(baseline {base['cycles']:g})")
+                    f"{cur[field]:g}; workload or cycle model drifted, "
+                    f"refresh the baseline (docs/PERFORMANCE.md)")
         mem_ceiling = base.get("mem_ceiling_bytes")
         mem_observed = cur.get("mem_high_water_bytes")
         if mem_ceiling is not None and mem_observed is not None \
