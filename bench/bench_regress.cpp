@@ -29,7 +29,6 @@
 #include "nn/gcn.hpp"
 #include "tagnn/accelerator.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/spmm.hpp"
 
 namespace tagnn {
 namespace {
@@ -118,9 +117,10 @@ Entry bench_gemm(const Options& o, int iters) {
   return e;
 }
 
-// GCN layer: the pre-PR per-vertex path (aggregate_vertex + one gemv
-// per vertex, re-streaming W each time) vs the fused SpMM + blocked
-// GEMM staging the layer as two matrix kernels.
+// GCN layer: the per-vertex path (aggregate_vertex + one gemv per
+// vertex, re-streaming W each time) vs gcn_layer_forward, which runs
+// aggregation, the register-tile GEMM and ReLU as one pass over 4-row
+// tiles.
 Entry bench_gcn_layer(const Options& o, int iters) {
   const DynamicGraph g =
       datasets::load("GT", o.quick ? 0.2 : 0.5, /*snapshots=*/2);
@@ -147,14 +147,11 @@ Entry bench_gcn_layer(const Options& o, int iters) {
       },
       iters);
   GcnScratch scratch;
+  GcnForwardOptions fwd;
+  fwd.scratch = &scratch;
+  OpCounts counts;
   e.opt = bench::time_median(
-      [&] {
-        spmm_mean_csr(snap.graph.offsets(), snap.graph.neighbor_array(),
-                      snap.present, h, /*rows=*/{}, scratch.agg);
-        ops::gemm(scratch.agg, w, out_opt);
-        for (VertexId v = 0; v < nv; ++v) relu(out_opt.row(v));
-      },
-      iters);
+      [&] { gcn_layer_forward(snap, h, w, fwd, out_opt, counts); }, iters);
   check_identical(out_naive, out_opt, e.name.c_str());
 
   std::size_t edges = 0;

@@ -16,9 +16,12 @@
 // artefact is a pure function of the immutable snapshots, so the
 // pipelined schedule is byte-identical to the serial one. The caller's
 // plan hook runs right after each plan is built, on the same thread.
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdint>
 #include <future>
-#include <mutex>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "nn/engine.hpp"
@@ -57,46 +60,81 @@ TimedPlan plan_window(const DynamicGraph& g, Window w, bool gnn_reuse,
 // the O-CSR streaming model: rows whose content is window-stable at
 // this layer are fetched once per window (window_seen), other rows once
 // per snapshot; repeated gathers hit the on-chip buffer. A per-snapshot
-// charge of a row that is bitwise identical to the previous snapshot's
-// is the residual redundancy TaGNN-S still pays (Fig. 8(b)).
+// charge of a row equal to the previous snapshot's (`prev_in`) is the
+// residual redundancy TaGNN-S still pays (Fig. 8(b)).
 //
-// `snap_stamp`/`epoch` replace the per-call seen-bitmap: a row counts
-// as gathered this call iff its stamp equals the caller's (fresh)
-// epoch, so the scratch is reused across every (layer, snapshot)
-// without clearing or reallocating.
+// The touched set — the gathering rows (all rows when `compute_rows` is
+// null) and their neighbours — is marked in one bitmap per slice of the
+// row list, so no two threads write the same word. A second pass over
+// vertex words ORs the slices and counts with per-chunk integer sums;
+// each window_seen byte is written only by the chunk that owns its
+// word. The counts are set sizes, so they do not depend on the slicing
+// or the thread count.
+struct TrafficScratch {
+  std::vector<std::uint8_t> window_seen;  // per layer, one byte per row
+  std::vector<std::uint64_t> slices;      // kMaxSlices bitmaps of n bits
+};
+
+constexpr std::size_t kMaxSlices = 8;
+constexpr std::size_t kRowsPerSlice = 256;
+
 void charge_concurrent_traffic(const Snapshot& snap,
                                const std::vector<VertexId>* compute_rows,
                                const std::vector<bool>& stable_row,
-                               const std::vector<bool>* eq_prev,
-                               std::vector<bool>& window_seen,
-                               std::vector<std::uint32_t>& snap_stamp,
-                               std::uint32_t epoch, std::size_t d_in,
-                               OpCounts& counts) {
+                               const Matrix& in, const Matrix* prev_in,
+                               TrafficScratch& ts, OpCounts& counts) {
   const VertexId n = snap.num_vertices();
-  double rows = 0, redundant = 0;
-  auto touch = [&](VertexId u) {
-    if (stable_row[u]) {
-      if (!window_seen[u]) {
-        window_seen[u] = true;
-        rows += 1;
-      }
-    } else if (snap_stamp[u] != epoch) {
-      snap_stamp[u] = epoch;
-      rows += 1;
-      if (eq_prev != nullptr && (*eq_prev)[u]) redundant += 1;
-    }
-  };
-  auto gather = [&](VertexId v) {
-    touch(v);
-    for (VertexId u : snap.graph.neighbors(v)) touch(u);
-  };
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  std::size_t slices = 0;
   if (compute_rows != nullptr) {
-    for (const VertexId v : *compute_rows) gather(v);
-  } else {
-    for (VertexId v = 0; v < n; ++v) gather(v);
+    const std::vector<VertexId>& rows = *compute_rows;
+    slices = std::clamp<std::size_t>(rows.size() / kRowsPerSlice, 1,
+                                     kMaxSlices);
+    ts.slices.resize(kMaxSlices * words);
+    parallel_for(0, slices, [&](std::size_t s0, std::size_t s1) {
+      for (std::size_t s = s0; s < s1; ++s) {
+        std::uint64_t* bits = ts.slices.data() + s * words;
+        std::fill(bits, bits + words, 0);
+        auto mark = [bits](VertexId u) { bits[u / 64] |= 1ull << (u % 64); };
+        const std::size_t i1 = rows.size() * (s + 1) / slices;
+        for (std::size_t i = rows.size() * s / slices; i < i1; ++i) {
+          mark(rows[i]);
+          for (const VertexId u : snap.graph.neighbors(rows[i])) mark(u);
+        }
+      }
+    }, /*serial_threshold=*/1);
   }
-  counts.feature_bytes += rows * static_cast<double>(d_in) * 4.0;
-  counts.redundant_bytes += redundant * static_cast<double>(d_in) * 4.0;
+  std::atomic<std::size_t> fetched{0}, redundant{0};
+  parallel_for(0, words, [&](std::size_t w0, std::size_t w1) {
+    std::size_t rows = 0, same = 0;
+    for (std::size_t w = w0; w < w1; ++w) {
+      std::uint64_t touched = compute_rows == nullptr ? ~0ull : 0;
+      for (std::size_t s = 0; s < slices; ++s) {
+        touched |= ts.slices[s * words + w];
+      }
+      if (w + 1 == words && n % 64 != 0) touched &= (1ull << (n % 64)) - 1;
+      for (; touched != 0; touched &= touched - 1) {
+        const auto u =
+            static_cast<VertexId>(w * 64 + std::countr_zero(touched));
+        if (stable_row[u]) {
+          if (ts.window_seen[u] == 0) {
+            ts.window_seen[u] = 1;
+            ++rows;
+          }
+        } else {
+          ++rows;
+          if (prev_in != nullptr && detail::rows_equal(in, *prev_in, u)) {
+            ++same;
+          }
+        }
+      }
+    }
+    fetched += rows;
+    redundant += same;
+  }, /*serial_threshold=*/16);
+  const auto d_in = static_cast<double>(in.cols());
+  counts.feature_bytes += static_cast<double>(fetched.load()) * d_in * 4.0;
+  counts.redundant_bytes += static_cast<double>(redundant.load()) * d_in * 4.0;
 }
 
 }  // namespace
@@ -133,18 +171,13 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
   GcnScratch scratch;
   RnnBatchScratch rnn_ws;
   // Scratch reused across windows so the steady-state loop allocates
-  // nothing per (layer, snapshot): layer activations, traffic stamps,
+  // nothing per (layer, snapshot): layer activations, traffic bitmaps,
   // and the RNN mode/partition buffers.
   std::vector<Matrix> cur(opts_.window_size), nxt(opts_.window_size);
-  std::vector<bool> window_seen;
-  std::vector<std::uint32_t> snap_stamp(n, 0);
-  std::uint32_t snap_epoch = 0;
+  TrafficScratch traffic;
   constexpr std::uint8_t kAbsent = 255;
   std::vector<std::uint8_t> mode(n);
   std::vector<VertexId> full_rows, delta_rows;
-  // Dense delta staging for the batched delta path — rows of listed
-  // vertices are fully rewritten on each use, so no re-zeroing.
-  Matrix delta_x(n, cell.input_dim()), delta_h(n, cell.hidden());
   std::future<TimedPlan> prefetched;
   for (SnapshotId start = 0; start < total; start += opts_.window_size) {
     const Window w{start,
@@ -193,7 +226,7 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
     obs::ScopedTimer t_gnn(&res.seconds.gnn, "concurrent.gnn", "engine",
                            "tagnn.engine.gnn_seconds");
     for (std::size_t l = 0; l < layers; ++l) {
-      window_seen.assign(n, false);
+      traffic.window_seen.assign(n, 0);
       for (std::size_t tk = 0; tk < k; ++tk) {
         const SnapshotId t = w.start + static_cast<SnapshotId>(tk);
         const Snapshot& snap = g.snapshot(t);
@@ -224,17 +257,12 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
         if (opts_.gnn_reuse) {
           const std::vector<bool>& stable_row =
               (l == 0) ? cls.feature_stable : plan.unchanged[l - 1];
-          std::vector<bool> eq;
-          const std::vector<bool>* eq_ptr = nullptr;
+          const Matrix* prev_in = nullptr;
           if (opts_.count_redundancy && tk > 0) {
-            const Matrix& prev_in =
-                (l == 0) ? g.snapshot(t - 1).features : cur[tk - 1];
-            eq = detail::rows_equal_mask(in, prev_in);
-            eq_ptr = &eq;
+            prev_in = (l == 0) ? &g.snapshot(t - 1).features : &cur[tk - 1];
           }
-          charge_concurrent_traffic(snap, compute_rows, stable_row, eq_ptr,
-                                    window_seen, snap_stamp, ++snap_epoch,
-                                    in.cols(), res.gnn_counts);
+          charge_concurrent_traffic(snap, compute_rows, stable_row, in,
+                                    prev_in, traffic, res.gnn_counts);
         }
       }
       std::swap(cur, nxt);
@@ -258,9 +286,10 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
                       "stream carry missing the previous snapshot");
 
       // Pass 1 — decide each vertex's mode in parallel. The decision
-      // only reads the vertex's own rows (z_applied/h/z), none of which
-      // are written until the update passes below, so it is safe to
-      // separate from the updates.
+      // only reads the vertex's own rows (z_applied/z), and h is not
+      // written until the update passes below. A full update folds the
+      // whole input and the pre-update h, so a full row's applied
+      // values are set right after its decision, by the same thread.
       detail::parallel_vertices(
           n,
           [&](VertexId v, OpCounts& counts) {
@@ -289,6 +318,10 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
                 m = decide_cell_mode(theta, opts_.thresholds);
               }
             }
+            if (m == CellMode::kFull) {
+              copy(st.h.row(v), h_applied.row(v));
+              copy(z.row(v), z_applied.row(v));
+            }
             mode[v] = static_cast<std::uint8_t>(m);
           },
           res.rnn_counts);
@@ -313,54 +346,17 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
       }
       res.rnn_counts.rnn_skip += skips;
 
-      // Pass 3 — delta updates as one batch. Condense Unit: threshold
-      // the input + recurrent drift vs the last applied values into
-      // dense delta rows (exact zeros mark unchanged lanes), then push
-      // the whole batch through the gate weights as two masked GEMMs.
-      // The skip classifier leaves the deltas mostly dense, so the
-      // packed GEMM beats per-lane axpy streaming.
-      if (!delta_rows.empty()) {
-        std::mutex mu;
-        double total_nnz = 0;
-        parallel_for(0, delta_rows.size(),
-                     [&](std::size_t i0, std::size_t i1) {
-          std::size_t nnz = 0;
-          for (std::size_t i = i0; i < i1; ++i) {
-            const VertexId v = delta_rows[i];
-            nnz += dense_delta(z.row(v), z_applied.row(v), opts_.delta_eps,
-                               delta_x.row(v));
-            nnz += dense_delta(st.h.row(v), h_applied.row(v),
-                               opts_.delta_eps, delta_h.row(v));
-          }
-          std::lock_guard<std::mutex> lock(mu);
-          total_nnz += static_cast<double>(nnz);
-        }, /*serial_threshold=*/256);
-        cell.delta_update_rows(delta_x, delta_h, delta_rows, total_nnz,
-                               st.h, st.c, st.cache, rnn_ws,
-                               res.rnn_counts);
-      }
+      // Pass 3 — delta updates, one pass over 4-row tiles: the Condense
+      // Unit thresholds the input and recurrent drift vs the last
+      // applied values, and the tile's gate products, cache fold and
+      // outputs follow while its rows are in cache.
+      cell.delta_update_rows(z, delta_rows, opts_.delta_eps, z_applied,
+                             h_applied, st.h, st.c, st.cache,
+                             res.rnn_counts);
 
-      // Pass 4 — full updates as one batch: fold the pre-update h into
-      // h_applied, run both gate GEMMs over all full rows at once, then
-      // mark the inputs applied.
-      if (!full_rows.empty()) {
-        parallel_for(0, full_rows.size(), [&](std::size_t i0,
-                                              std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            const VertexId v = full_rows[i];
-            copy(st.h.row(v), h_applied.row(v));  // h folded by update
-          }
-        }, /*serial_threshold=*/512);
-        cell.full_update_rows(z, full_rows, st.h, st.c, st.cache, rnn_ws,
-                              res.rnn_counts);
-        parallel_for(0, full_rows.size(), [&](std::size_t i0,
-                                              std::size_t i1) {
-          for (std::size_t i = i0; i < i1; ++i) {
-            const VertexId v = full_rows[i];
-            copy(z.row(v), z_applied.row(v));
-          }
-        }, /*serial_threshold=*/512);
-      }
+      // Pass 4 — full updates, the same tiled pass without the deltas.
+      cell.full_update_rows(z, full_rows, st.h, st.c, st.cache, rnn_ws,
+                            res.rnn_counts);
 
       if (opts_.store_outputs) res.outputs.push_back(st.h);
       ++res.snapshots_processed;

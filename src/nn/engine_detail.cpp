@@ -1,6 +1,6 @@
 #include "nn/engine_detail.hpp"
 
-#include <algorithm>
+#include <atomic>
 #include <mutex>
 
 #include "common/thread_pool.hpp"
@@ -21,43 +21,15 @@ void parallel_vertices(VertexId n,
   }, /*serial_threshold=*/512);
 }
 
-std::vector<bool> rows_equal_mask(const Matrix& a, const Matrix& b) {
-  // Serial on purpose: vector<bool> packs bits, so concurrent writes to
-  // adjacent entries would race. The early-exit std::equal keeps this
-  // cheap in practice.
-  std::vector<bool> eq(a.rows(), false);
-  const std::size_t d = a.cols();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const float* x = a.data() + r * d;
-    const float* y = b.data() + r * d;
-    eq[r] = std::equal(x, x + d, y);
-  }
-  return eq;
-}
-
-void count_gather_redundancy(const Snapshot& snap,
-                             const std::vector<bool>* compute,
-                             const std::vector<bool>* row_unchanged,
-                             std::size_t d_in, OpCounts& counts) {
-  const VertexId n = snap.num_vertices();
-  std::vector<bool> seen(n, false);
-  double redundant_rows = 0;
-  auto touch = [&](VertexId u) {
-    if (seen[u]) {
-      redundant_rows += 1;  // intra-snapshot duplicate gather
-    } else {
-      seen[u] = true;
-      if (row_unchanged != nullptr && (*row_unchanged)[u]) {
-        redundant_rows += 1;  // identical to the previous snapshot's load
-      }
-    }
-  };
-  for (VertexId v = 0; v < n; ++v) {
-    if (compute != nullptr && !(*compute)[v]) continue;
-    touch(v);
-    for (VertexId u : snap.graph.neighbors(v)) touch(u);
-  }
-  counts.redundant_bytes += redundant_rows * static_cast<double>(d_in) * 4.0;
+std::size_t count_equal_rows(const Matrix& a, const Matrix& b) {
+  TAGNN_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
+  std::atomic<std::size_t> equal{0};
+  parallel_for(0, a.rows(), [&](std::size_t r0, std::size_t r1) {
+    std::size_t local = 0;
+    for (std::size_t r = r0; r < r1; ++r) local += rows_equal(a, b, r);
+    equal += local;
+  }, /*serial_threshold=*/1024);
+  return equal.load();
 }
 
 }  // namespace tagnn::detail

@@ -1,10 +1,10 @@
 // Internal helpers shared by the reference and concurrent engines.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <vector>
 
-#include "graph/snapshot.hpp"
+#include "common/types.hpp"
 #include "nn/op_counts.hpp"
 #include "nn/rnn.hpp"
 #include "tensor/matrix.hpp"
@@ -29,17 +29,15 @@ void parallel_vertices(
     VertexId n,
     const std::function<void(VertexId, OpCounts&)>& fn, OpCounts& total);
 
-/// unchanged[v] = rows a and b of the two matrices are bitwise equal.
-std::vector<bool> rows_equal_mask(const Matrix& a, const Matrix& b);
+/// Row r of `a` equals row r of `b` (element-wise ==).
+inline bool rows_equal(const Matrix& a, const Matrix& b, std::size_t r) {
+  const std::size_t d = a.cols();
+  const float* x = a.data() + r * d;
+  return std::equal(x, x + d, b.data() + r * d);
+}
 
-/// Counts redundant gather bytes for one GCN layer over `snap`:
-/// a gathered row is redundant if it was already gathered in this
-/// layer/snapshot (intra-snapshot duplicate) or if `row_unchanged` says
-/// its content is identical to the previous snapshot's load.
-/// `compute` restricts which vertices gather (nullptr = all).
-void count_gather_redundancy(const Snapshot& snap,
-                             const std::vector<bool>* compute,
-                             const std::vector<bool>* row_unchanged,
-                             std::size_t d_in, OpCounts& counts);
+/// Number of rows r with rows_equal(a, b, r), counted in parallel from
+/// per-chunk integer sums.
+std::size_t count_equal_rows(const Matrix& a, const Matrix& b);
 
 }  // namespace tagnn::detail

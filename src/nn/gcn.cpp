@@ -1,5 +1,8 @@
 #include "nn/gcn.hpp"
 
+#include <algorithm>
+#include <atomic>
+
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 #include "tensor/ops.hpp"
@@ -24,29 +27,29 @@ void aggregate_vertex(const Snapshot& snap, const Matrix& h_in, VertexId v,
   for (auto& x : out) x *= inv;
 }
 
-// Aggregation runs as one CSR SpMM over the computed rows, combination
-// as one blocked GEMM over the same rows — the staged layout lets the
-// GEMM reuse packed W panels across every vertex instead of streaming W
-// per vertex as the old per-vertex gemv did. Per-row floating-point
-// order is unchanged, so outputs stay value-identical to the per-vertex
-// path and independent of the thread count.
+// Aggregation, combination and ReLU run as one pass over 4-row tiles
+// of the computed rows: a tile's aggregated rows stay in a thread-local
+// buffer and go straight into the register-tile GEMM and the
+// activation, so no n x d_in staging matrix is written and re-read.
+// Per-row floating-point order is the per-vertex path's, so outputs are
+// value-identical to it and independent of the thread count.
 void gcn_layer_forward(const Snapshot& snap, const Matrix& h_in,
                        const Matrix& w, const GcnForwardOptions& opts,
                        Matrix& h_out, OpCounts& counts) {
   const VertexId n = snap.num_vertices();
   TAGNN_CHECK(h_in.rows() == n);
   TAGNN_CHECK(h_in.cols() == w.rows());
+  TAGNN_CHECK(&h_in != &h_out);
   const std::size_t d_in = w.rows();
   const std::size_t d_out = w.cols();
   if (h_out.rows() != n || h_out.cols() != d_out) {
     h_out = Matrix(n, d_out);
   }
 
-  GcnScratch local;
-  GcnScratch& ws = opts.scratch != nullptr ? *opts.scratch : local;
-
   // Computed-row list: a caller-provided list wins; otherwise one pass
   // over the compute mask builds it into the scratch.
+  GcnScratch local;
+  GcnScratch& ws = opts.scratch != nullptr ? *opts.scratch : local;
   std::span<const VertexId> row_list;
   if (opts.compute_rows != nullptr) {
     row_list = *opts.compute_rows;
@@ -59,47 +62,50 @@ void gcn_layer_forward(const Snapshot& snap, const Matrix& h_in,
     }
     row_list = ws.rows;
   }
-  std::size_t edges_touched = 0;
-  std::size_t rows_fetched = 0;  // off-chip row gathers
-  for (const VertexId v : row_list) {
-    TAGNN_DCHECK(v < n);
-    const std::size_t deg = snap.graph.degree(v);
-    edges_touched += deg;
-    if (opts.count_feature_traffic) rows_fetched += deg + 1;
-  }
 
-  if (!row_list.empty()) {
-    // An empty row span means "all rows" to the kernels, which then
-    // skip the indirection; a fully-masked-out layer never reaches them.
-    const bool full = row_list.size() == n;
-    const std::span<const VertexId> rows =
-        full ? std::span<const VertexId>{} : row_list;
-    if (ws.agg.rows() != n || ws.agg.cols() != d_in) {
-      ws.agg = Matrix(n, d_in);
+  const std::span<const EdgeId> offsets = snap.graph.offsets();
+  const std::span<const VertexId> nbrs = snap.graph.neighbor_array();
+  const std::size_t m = row_list.size();
+  std::atomic<std::size_t> edges_touched{0};
+  parallel_for(0, (m + 3) / 4, [&](std::size_t t0, std::size_t t1) {
+    thread_local std::vector<float> agg;
+    agg.resize(4 * d_in);
+    std::size_t edges = 0;
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t len = std::min<std::size_t>(4, m - 4 * t);
+      const float* a[4];
+      float* c[4];
+      for (std::size_t i = 0; i < len; ++i) {
+        const VertexId v = row_list[4 * t + i];
+        TAGNN_DCHECK(v < n);
+        edges += snap.graph.degree(v);
+        float* o = agg.data() + i * d_in;
+        spmm_mean_row(offsets, nbrs, snap.present, h_in, v, o);
+        a[i] = o;
+        c[i] = h_out.data() + static_cast<std::size_t>(v) * d_out;
+      }
+      ops::gemm_tile({a, len}, w, {c, len});
+      if (opts.relu_output) {
+        for (std::size_t i = 0; i < len; ++i) relu({c[i], d_out});
+      }
     }
-    spmm_mean_csr(snap.graph.offsets(), snap.graph.neighbor_array(),
-                  snap.present, h_in, rows, ws.agg);
-    ops::gemm(ws.agg, w, h_out, {.rows = rows});
-    if (opts.relu_output) {
-      parallel_for(0, row_list.size(), [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t i = r0; i < r1; ++i) relu(h_out.row(row_list[i]));
-      }, /*serial_threshold=*/512);
-    }
-  }
+    edges_touched += edges;
+  }, /*serial_threshold=*/16);
 
-  const auto nc = static_cast<double>(row_list.size());
-  const auto ne = static_cast<double>(edges_touched);
+  const auto nc = static_cast<double>(m);
+  const auto ne = static_cast<double>(edges_touched.load());
+  // Every computed row gathers itself and its neighbours.
+  const double rows_fetched = opts.count_feature_traffic ? ne + nc : 0.0;
   counts.adds += (ne + nc) * static_cast<double>(d_in);
   counts.macs += nc * static_cast<double>(d_in) * static_cast<double>(d_out);
   counts.activations +=
       opts.relu_output ? nc * static_cast<double>(d_out) : 0.0;
-  counts.feature_bytes +=
-      static_cast<double>(rows_fetched) * static_cast<double>(d_in) * 4.0;
+  counts.feature_bytes += rows_fetched * static_cast<double>(d_in) * 4.0;
   counts.weight_bytes +=
       static_cast<double>(d_in) * static_cast<double>(d_out) * 4.0;
   counts.structure_bytes += ne * 4.0 + nc * 8.0;
   counts.output_bytes += nc * static_cast<double>(d_out) * 4.0;
-  counts.gnn_vertex_computed += row_list.size();
+  counts.gnn_vertex_computed += m;
 }
 
 }  // namespace tagnn

@@ -20,10 +20,9 @@ void aggregate_vertex(const Snapshot& snap, const Matrix& h_in, VertexId v,
                       std::span<float> out);
 
 /// Caller-owned workspace reused across gcn_layer_forward calls so the
-/// aggregated-feature staging matrix and the computed-row list are not
-/// reallocated per layer/snapshot. Engines keep one per run.
+/// computed-row list built from a compute mask is not reallocated per
+/// layer/snapshot. Engines keep one per run.
 struct GcnScratch {
-  Matrix agg;                   // aggregated features, n x d_in
   std::vector<VertexId> rows;   // vertices computed this call, ascending
 };
 
@@ -48,7 +47,8 @@ struct GcnForwardOptions {
 };
 
 /// Full GCN layer: h_out(v) = act(mean_{u in {v}∪N(v)} h_in(u) * w).
-/// Counts MACs, adds, and byte traffic into `counts`.
+/// Counts MACs, adds, and byte traffic into `counts`. h_out must not
+/// alias h_in.
 void gcn_layer_forward(const Snapshot& snap, const Matrix& h_in,
                        const Matrix& w, const GcnForwardOptions& opts,
                        Matrix& h_out, OpCounts& counts);

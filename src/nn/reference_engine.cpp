@@ -18,7 +18,8 @@ EngineResult ReferenceEngine::run(const DynamicGraph& g,
   detail::RnnState st(n, cell);
 
   EngineResult res;
-  // Previous snapshot's per-layer inputs, for redundancy analysis.
+  // Previous snapshot's inputs of layers 1.., for redundancy analysis
+  // (layer 0 reads the previous snapshot's features in place).
   std::vector<Matrix> prev_inputs(layers);
   Matrix a, b;  // layer ping-pong buffers
   GcnScratch scratch;
@@ -37,17 +38,19 @@ EngineResult ReferenceEngine::run(const DynamicGraph& g,
       gcn_layer_forward(snap, *in, weights.gnn[l], opts, out,
                         res.gnn_counts);
       if (opts_.count_redundancy) {
-        // A gather at layer l reads rows of `in`; compare with the same
-        // rows at the previous snapshot.
-        std::vector<bool> unchanged;
-        const std::vector<bool>* mask = nullptr;
+        // Every vertex gathers itself, so all n rows of `in` are loaded
+        // once; each of the E neighbour gathers repeats a load, and so
+        // does every row equal to the same row at the previous snapshot.
+        std::size_t redundant_rows = snap.graph.num_edges();
         if (t > 0) {
-          unchanged = detail::rows_equal_mask(*in, prev_inputs[l]);
-          mask = &unchanged;
+          const Matrix& prev =
+              l == 0 ? g.snapshot(t - 1).features : prev_inputs[l];
+          redundant_rows += detail::count_equal_rows(*in, prev);
         }
-        detail::count_gather_redundancy(snap, nullptr, mask, in->cols(),
-                                        res.gnn_counts);
-        prev_inputs[l] = *in;
+        res.gnn_counts.redundant_bytes +=
+            static_cast<double>(redundant_rows) *
+            static_cast<double>(in->cols()) * 4.0;
+        if (l > 0) prev_inputs[l] = *in;
       }
       in = &out;
     }

@@ -1,5 +1,7 @@
 #include "nn/rnn.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -9,6 +11,15 @@
 #include "tensor/ops.hpp"
 
 namespace tagnn {
+namespace {
+
+// Tile t of a batched update's row list: rows [4t, 4t + 4), clipped.
+std::span<const VertexId> row_tile(std::span<const VertexId> rows,
+                                   std::size_t t) {
+  return rows.subspan(4 * t, std::min<std::size_t>(4, rows.size() - 4 * t));
+}
+
+}  // namespace
 
 RnnCell::RnnCell(const DgnnWeights& weights)
     : w_(weights),
@@ -109,53 +120,56 @@ void RnnCell::full_update(std::span<const float> x,
   ++counts.rnn_full;
 }
 
+// One tile of full_update_rows. The x-part accumulates onto the bias
+// in the cache row itself (the GRU's h-part goes straight to the upper
+// half), so only the LSTM's h-part needs the tile buffer. Each row's h
+// is read by the h-part product before its own outputs overwrite it,
+// and rows of other tiles are never touched.
+void RnnCell::full_update_tile(const Matrix& z,
+                               std::span<const VertexId> tile, Matrix& h,
+                               Matrix& c, Matrix& cache) const {
+  const std::size_t gh = gates_ * h_;
+  thread_local std::vector<float> buf;
+  buf.resize(4 * gh);
+  const float* bias = w_.rnn_b.data();
+  const std::size_t m = tile.size();
+  const float* zr[4];
+  const float* hr[4];
+  float* xp[4];
+  float* hp[4];
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto v = static_cast<std::size_t>(tile[i]);
+    zr[i] = z.data() + v * dz_;
+    hr[i] = h.data() + v * h_;
+    xp[i] = cache.data() + v * cache.cols();
+    std::copy(bias, bias + gh, xp[i]);
+    hp[i] = kind_ == RnnKind::kLstm ? buf.data() + i * gh : xp[i] + gh;
+  }
+  ops::gemm_tile({zr, m}, w_.rnn_wx, {xp, m}, /*accumulate=*/true);
+  ops::gemm_tile({hr, m}, w_.rnn_wh, {hp, m});
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto v = static_cast<std::size_t>(tile[i]);
+    if (kind_ == RnnKind::kLstm) {
+      for (std::size_t j = 0; j < gh; ++j) xp[i][j] = xp[i][j] + hp[i][j];
+    }
+    derive_outputs(h.row(v), c.row(v), cache.row(v), h.row(v), c.row(v));
+  }
+}
+
 void RnnCell::full_update_rows(const Matrix& z,
                                std::span<const VertexId> rows, Matrix& h,
-                               Matrix& c, Matrix& cache, RnnBatchScratch& ws,
+                               Matrix& c, Matrix& cache,
+                               RnnBatchScratch& /*ws*/,
                                OpCounts& counts) const {
   if (rows.empty()) return;
   const std::size_t gh = gates_ * h_;
   TAGNN_CHECK(z.cols() == dz_ && h.cols() == h_);
   TAGNN_CHECK(cache.cols() == cache_dim());
-  const std::size_t n = z.rows();
-  if (ws.xpart.rows() != n || ws.xpart.cols() != gh) {
-    ws.xpart = Matrix(n, gh);
-  }
-  if (ws.hpart.rows() != n || ws.hpart.cols() != gh) {
-    ws.hpart = Matrix(n, gh);
-  }
-  // x-part: bias prefill, then one masked accumulate-mode GEMM — the
-  // same bias-first ascending-k accumulation order as the per-vertex
-  // gemv path, so the batch is value-identical to row-by-row updates.
-  const float* bias = w_.rnn_b.data();
-  parallel_for(0, rows.size(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      float* xr = ws.xpart.data() + static_cast<std::size_t>(rows[i]) * gh;
-      std::copy(bias, bias + gh, xr);
+  parallel_for(0, (rows.size() + 3) / 4, [&](std::size_t t0, std::size_t t1) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      full_update_tile(z, row_tile(rows, t), h, c, cache);
     }
-  }, /*serial_threshold=*/256);
-  ops::gemm(z, w_.rnn_wx, ws.xpart, {.rows = rows, .accumulate = true});
-  // h-part: reads every listed h row before any output row is written,
-  // so the in-place h update below cannot feed back into the batch.
-  ops::gemm(h, w_.rnn_wh, ws.hpart, {.rows = rows});
-
-  parallel_for(0, rows.size(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto v = static_cast<std::size_t>(rows[i]);
-      const float* xp = ws.xpart.data() + v * gh;
-      const float* hp = ws.hpart.data() + v * gh;
-      const std::span<float> vcache = cache.row(v);
-      if (kind_ == RnnKind::kLstm) {
-        for (std::size_t j = 0; j < gh; ++j) vcache[j] = xp[j] + hp[j];
-      } else {
-        for (std::size_t j = 0; j < gh; ++j) {
-          vcache[j] = xp[j];
-          vcache[gh + j] = hp[j];
-        }
-      }
-      derive_outputs(h.row(v), c.row(v), vcache, h.row(v), c.row(v));
-    }
-  }, /*serial_threshold=*/64);
+  }, /*serial_threshold=*/16);
 
   const auto nv = static_cast<double>(rows.size());
   counts.macs += nv * full_update_macs();
@@ -204,53 +218,82 @@ void RnnCell::delta_update(std::span<const float> dx,
   ++counts.rnn_delta;
 }
 
-void RnnCell::delta_update_rows(const Matrix& dx, const Matrix& dh,
+// One tile of delta_update_rows; returns its kept-lane count. Every
+// row's deltas are formed before any output of the tile is written, so
+// the h delta sees the pre-update state. At the densities the skip
+// thresholds produce, delta rows are mostly dense, so the products run
+// as register-tile GEMMs (zero lanes contribute exact-zero products)
+// instead of per-lane axpy streaming with a weight-row reload per lane.
+std::size_t RnnCell::delta_update_tile(const Matrix& z,
+                                       std::span<const VertexId> tile,
+                                       float delta_eps, Matrix& z_applied,
+                                       Matrix& h_applied, Matrix& h,
+                                       Matrix& c, Matrix& cache) const {
+  const std::size_t gh = gates_ * h_;
+  thread_local std::vector<float> buf;
+  buf.resize(4 * (dz_ + h_ + 2 * gh));
+  const std::size_t m = tile.size();
+  const float* dx[4];
+  const float* dh[4];
+  float* xp[4];
+  float* hp[4];
+  std::size_t nnz = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    const VertexId v = tile[i];
+    float* dxi = buf.data() + i * dz_;
+    float* dhi = buf.data() + 4 * dz_ + i * h_;
+    nnz += dense_delta(z.row(v), z_applied.row(v), delta_eps, {dxi, dz_});
+    nnz += dense_delta(h.row(v), h_applied.row(v), delta_eps, {dhi, h_});
+    dx[i] = dxi;
+    dh[i] = dhi;
+    xp[i] = buf.data() + 4 * (dz_ + h_) + i * gh;
+    hp[i] = xp[i] + 4 * gh;
+  }
+  ops::gemm_tile({dx, m}, w_.rnn_wx, {xp, m});
+  ops::gemm_tile({dh, m}, w_.rnn_wh, {hp, m});
+  for (std::size_t i = 0; i < m; ++i) {
+    const VertexId v = tile[i];
+    const std::span<float> vcache = cache.row(v);
+    if (kind_ == RnnKind::kLstm) {
+      // x- and h-parts share the combined pre-activation vector.
+      for (std::size_t j = 0; j < gh; ++j) {
+        vcache[j] = (vcache[j] + xp[i][j]) + hp[i][j];
+      }
+    } else {
+      // GRU keeps the h-part in the upper half of the cache.
+      for (std::size_t j = 0; j < gh; ++j) {
+        vcache[j] += xp[i][j];
+        vcache[gh + j] += hp[i][j];
+      }
+    }
+    derive_outputs(h.row(v), c.row(v), vcache, h.row(v), c.row(v));
+  }
+  return nnz;
+}
+
+void RnnCell::delta_update_rows(const Matrix& z,
                                 std::span<const VertexId> rows,
-                                double total_nnz, Matrix& h, Matrix& c,
-                                Matrix& cache, RnnBatchScratch& ws,
-                                OpCounts& counts) const {
+                                float delta_eps, Matrix& z_applied,
+                                Matrix& h_applied, Matrix& h, Matrix& c,
+                                Matrix& cache, OpCounts& counts) const {
   if (rows.empty()) return;
   const std::size_t gh = gates_ * h_;
-  TAGNN_CHECK(dx.cols() == dz_ && dh.cols() == h_);
+  TAGNN_CHECK(z.cols() == dz_ && z_applied.cols() == dz_);
+  TAGNN_CHECK(h.cols() == h_ && h_applied.cols() == h_);
   TAGNN_CHECK(cache.cols() == cache_dim());
-  const std::size_t n = dx.rows();
-  if (ws.xpart.rows() != n || ws.xpart.cols() != gh) {
-    ws.xpart = Matrix(n, gh);
-  }
-  if (ws.hpart.rows() != n || ws.hpart.cols() != gh) {
-    ws.hpart = Matrix(n, gh);
-  }
-  // At the densities the skip thresholds produce, delta rows are
-  // mostly dense, so the batch pays off as two packed GEMMs (zero
-  // lanes contribute exact-zero products) instead of per-lane axpy
-  // streaming with a weight-row reload per lane.
-  ops::gemm(dx, w_.rnn_wx, ws.xpart, {.rows = rows});
-  ops::gemm(dh, w_.rnn_wh, ws.hpart, {.rows = rows});
-
-  parallel_for(0, rows.size(), [&](std::size_t r0, std::size_t r1) {
-    for (std::size_t i = r0; i < r1; ++i) {
-      const auto v = static_cast<std::size_t>(rows[i]);
-      const float* xp = ws.xpart.data() + v * gh;
-      const float* hp = ws.hpart.data() + v * gh;
-      const std::span<float> vcache = cache.row(v);
-      if (kind_ == RnnKind::kLstm) {
-        // x- and h-parts share the combined pre-activation vector.
-        for (std::size_t j = 0; j < gh; ++j) {
-          vcache[j] = (vcache[j] + xp[j]) + hp[j];
-        }
-      } else {
-        // GRU keeps the h-part in the upper half of the cache.
-        for (std::size_t j = 0; j < gh; ++j) {
-          vcache[j] += xp[j];
-          vcache[gh + j] += hp[j];
-        }
-      }
-      derive_outputs(h.row(v), c.row(v), vcache, h.row(v), c.row(v));
+  std::atomic<std::size_t> kept{0};
+  parallel_for(0, (rows.size() + 3) / 4, [&](std::size_t t0, std::size_t t1) {
+    std::size_t nnz = 0;
+    for (std::size_t t = t0; t < t1; ++t) {
+      nnz += delta_update_tile(z, row_tile(rows, t), delta_eps, z_applied,
+                               h_applied, h, c, cache);
     }
-  }, /*serial_threshold=*/64);
+    kept += nnz;
+  }, /*serial_threshold=*/16);
 
   // Charged as the Condense Unit computes it: only the kept lanes cost
   // MACs/fetch traffic, identical to summing the per-vertex charges.
+  const auto total_nnz = static_cast<double>(kept.load());
   const auto nv = static_cast<double>(rows.size());
   counts.macs += total_nnz * static_cast<double>(gh);
   counts.activations += nv * static_cast<double>(gh + h_);

@@ -19,13 +19,10 @@
 
 namespace tagnn {
 
-/// Caller-owned gate staging matrices (n x gates*H) reused across
-/// full_update_rows calls so the pre-activation buffers are not
-/// reallocated per snapshot. Engines keep one per run.
-struct RnnBatchScratch {
-  Matrix xpart;
-  Matrix hpart;
-};
+/// Empty: the batched updates keep each 4-row tile's gate products in
+/// a thread-local buffer instead of n-row staging matrices. Kept so
+/// callers that hold one per run need not change.
+struct RnnBatchScratch {};
 
 class RnnCell {
  public:
@@ -50,14 +47,13 @@ class RnnCell {
                    std::span<float> c_out, std::span<float> cache,
                    OpCounts& counts) const;
 
-  /// Batched full update over the listed rows (strictly ascending):
-  /// both gate GEMVs of every listed vertex run as two masked GEMMs
-  /// over the whole batch (x * Wx accumulated onto bias-prefilled rows,
-  /// h_prev * Wh), then the per-vertex outputs are derived. h/c/cache
-  /// rows of `z`/`h`/`c`/`cache` are updated in place; unlisted rows
-  /// are untouched. Value-identical to calling full_update per row
-  /// (same ascending-k accumulation order) — the concurrent engine's
-  /// hot path.
+  /// Batched full update over the listed rows (strictly ascending), one
+  /// pass over 4-row tiles: each tile's gate products (x * Wx
+  /// accumulated onto the bias, h_prev * Wh), cache fold and output
+  /// derivation run back to back on one thread. h/c/cache rows of
+  /// `z`/`h`/`c`/`cache` are updated in place; unlisted rows are
+  /// untouched. Value-identical to calling full_update per row (same
+  /// ascending-k accumulation order) — the concurrent engine's hot path.
   void full_update_rows(const Matrix& z, std::span<const VertexId> rows,
                         Matrix& h, Matrix& c, Matrix& cache,
                         RnnBatchScratch& ws, OpCounts& counts) const;
@@ -82,18 +78,18 @@ class RnnCell {
                     std::span<float> c_out, std::span<float> cache,
                     OpCounts& counts) const;
 
-  /// Batched delta update over the listed rows (strictly ascending):
-  /// `dx`/`dh` hold the thresholded deltas as dense rows (zeros mark
-  /// unchanged lanes — see dense_delta), and both gate products run as
-  /// masked GEMMs over the whole batch before the per-row cache fold
-  /// and output derivation. `total_nnz` is the kept-lane count across
-  /// all listed rows, charged exactly as the per-vertex path charges
-  /// its condensed lanes. Matches per-row delta_update up to float
-  /// reassociation (the lane sum is formed before touching the cache).
-  void delta_update_rows(const Matrix& dx, const Matrix& dh,
-                         std::span<const VertexId> rows, double total_nnz,
-                         Matrix& h, Matrix& c, Matrix& cache,
-                         RnnBatchScratch& ws, OpCounts& counts) const;
+  /// Batched delta update over the listed rows (strictly ascending), one
+  /// pass over 4-row tiles: the Condense Unit's thresholded deltas of z
+  /// vs `z_applied` and of h vs `h_applied` (dense_delta, which folds
+  /// the kept lanes into the applied rows), both gate products, the
+  /// cache fold and the output derivation. Charged exactly as the
+  /// per-vertex path charges its condensed lanes; matches per-row
+  /// delta_update up to float reassociation (the lane sum is formed
+  /// before touching the cache).
+  void delta_update_rows(const Matrix& z, std::span<const VertexId> rows,
+                         float delta_eps, Matrix& z_applied,
+                         Matrix& h_applied, Matrix& h, Matrix& c,
+                         Matrix& cache, OpCounts& counts) const;
 
   /// MACs of one full update (for cost models).
   double full_update_macs() const {
@@ -101,6 +97,13 @@ class RnnCell {
   }
 
  private:
+  void full_update_tile(const Matrix& z, std::span<const VertexId> tile,
+                        Matrix& h, Matrix& c, Matrix& cache) const;
+  std::size_t delta_update_tile(const Matrix& z,
+                                std::span<const VertexId> tile,
+                                float delta_eps, Matrix& z_applied,
+                                Matrix& h_applied, Matrix& h, Matrix& c,
+                                Matrix& cache) const;
   void derive_outputs(std::span<const float> h_prev,
                       std::span<const float> c_prev,
                       std::span<const float> cache, std::span<float> h_out,

@@ -79,21 +79,17 @@ void Tenant::push_next_stream_snapshot() {
   infer_.push(current_);
 }
 
+// O(E + r log r + a): ids are validated first, then one pass over the
+// CSR's (u, v)-sorted edge list drops the sorted removal set; absent
+// removals are ignored (removal is idempotent). from_edges sorts and
+// de-duplicates, so appending the adds unsorted is enough.
 bool Tenant::apply_delta(const IngestCommand& cmd, std::string* error) {
   const VertexId n = current_.num_vertices();
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  edges.reserve(current_.graph.num_edges() + cmd.add_edges.size());
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : current_.graph.neighbors(u)) edges.emplace_back(u, v);
-  }
   for (const auto& [u, v] : cmd.remove_edges) {
     if (u >= n || v >= n) {
       *error = "remove_edges vertex id out of range";
       return false;
     }
-    // Absent edges are ignored: removal is idempotent.
-    edges.erase(std::remove(edges.begin(), edges.end(), std::make_pair(u, v)),
-                edges.end());
   }
   for (const auto& [u, v] : cmd.add_edges) {
     if (u >= n || v >= n) {
@@ -104,8 +100,25 @@ bool Tenant::apply_delta(const IngestCommand& cmd, std::string* error) {
       *error = "add_edges endpoint is an absent vertex";
       return false;
     }
-    edges.emplace_back(u, v);
   }
+  std::vector<std::pair<VertexId, VertexId>> removed = cmd.remove_edges;
+  std::sort(removed.begin(), removed.end());
+  removed.erase(std::unique(removed.begin(), removed.end()), removed.end());
+  auto next_removed = removed.begin();
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  edges.reserve(current_.graph.num_edges() + cmd.add_edges.size());
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v : current_.graph.neighbors(u)) {
+      const std::pair<VertexId, VertexId> e(u, v);
+      while (next_removed != removed.end() && *next_removed < e) {
+        ++next_removed;
+      }
+      if (next_removed == removed.end() || *next_removed != e) {
+        edges.push_back(e);
+      }
+    }
+  }
+  edges.insert(edges.end(), cmd.add_edges.begin(), cmd.add_edges.end());
   Snapshot next;
   next.graph = CsrGraph::from_edges(n, std::move(edges));
   next.features = current_.features;

@@ -13,11 +13,16 @@
 // (tensor/kernel_registry.hpp): AVX2 when the host supports it, scalar
 // otherwise, overridable via TAGNN_KERNEL_ISA / --kernel-isa. When one
 // k-panel covers all of k (k <= kc, the common case for GNN layer dims)
-// and the call is not accumulating, the tile_* kernels hold a 4 x 16 C
-// tile in registers for the whole accumulation and store it once — no C
-// traffic inside the k loop. Deeper k and accumulate mode use the
-// streaming micro_* kernels, which fold into C's existing contents and
-// keep the same per-element evaluation order across panels.
+// the tile_* kernels hold a 4 x 16 C tile in registers for the whole
+// accumulation and store it once — no C traffic inside the k loop.
+// Deeper k uses the streaming micro_* kernels, which fold into C's
+// existing contents and keep the same per-element evaluation order
+// across panels.
+//
+// gemm_tile runs the same kernels on up to four caller-held rows
+// without packing: B is row-major, so the unpacked matrix is already a
+// valid panel with row pitch n, and each element's value does not
+// depend on the panel width.
 //
 // Exactness: each C element accumulates its k terms in strictly
 // ascending order (pc panels ascend, k inside a panel ascends), the
@@ -39,46 +44,24 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, const GemmOpts& opts) {
                   "gemm shape mismatch: " << a.rows() << 'x' << a.cols()
                                           << " * " << b.rows() << 'x'
                                           << b.cols());
-  const std::span<const std::uint32_t> rows = opts.rows;
   const std::size_t m = a.rows();
   const std::size_t k_dim = a.cols();
   const std::size_t n = b.cols();
-  const bool masked = !rows.empty();
-  if (!masked) {
-    if (c.rows() != m || c.cols() != n) {
-      TAGNN_CHECK_MSG(!opts.accumulate,
-                      "accumulate-mode gemm needs a pre-shaped C");
-      c = Matrix(m, n);
-    } else if (!opts.accumulate) {
-      c.fill(0.0f);
-    }
+  if (c.rows() != m || c.cols() != n) {
+    c = Matrix(m, n);
   } else {
-    TAGNN_CHECK(c.rows() == m && c.cols() == n);
-    if (!opts.accumulate) {
-      for (const std::uint32_t r : rows) {
-        TAGNN_DCHECK(r < m);
-        float* cr = c.data() + static_cast<std::size_t>(r) * n;
-        std::fill(cr, cr + n, 0.0f);
-      }
-    }
+    c.fill(0.0f);
   }
-  const std::size_t num_rows = masked ? rows.size() : m;
-  if (num_rows == 0 || n == 0 || k_dim == 0) return;
+  if (m == 0 || n == 0 || k_dim == 0) return;
 
   const kernels::GemmMicroKernels mk = kernels::registry().gemm();
   const std::size_t kc = std::max<std::size_t>(1, opts.blocking.kc);
   const std::size_t nc = std::max<std::size_t>(1, opts.blocking.nc);
   std::vector<float> packed(std::min(kc, k_dim) * std::min(nc, n));
   // A single k panel lets the micro-kernel keep its C tile in registers
-  // for the full accumulation (register tiles overwrite C, so
-  // accumulate mode always streams); wrapping the tail tile into the
-  // packed scratch is handled inside tile_1row/tile_4row.
-  const bool single_panel = k_dim <= kc && !opts.accumulate;
-
-  // Maps a logical row index to the physical C/A row.
-  auto phys = [&](std::size_t i) -> std::size_t {
-    return masked ? static_cast<std::size_t>(rows[i]) : i;
-  };
+  // for the full accumulation; wrapping the tail tile into the packed
+  // scratch is handled inside tile_1row/tile_4row.
+  const bool single_panel = k_dim <= kc;
 
   for (std::size_t jc = 0; jc < n; jc += nc) {
     const std::size_t ncb = std::min(nc, n - jc);
@@ -90,20 +73,18 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, const GemmOpts& opts) {
         std::copy(src, src + ncb, packed.data() + kk * ncb);
       }
       const float* pk = packed.data();
-      parallel_for(0, num_rows, [&, pk, kcb, ncb, jc, pc](std::size_t r0,
-                                                          std::size_t r1) {
+      parallel_for(0, m, [&, pk, kcb, ncb, jc, pc](std::size_t r0,
+                                                   std::size_t r1) {
         std::size_t i = r0;
         for (; i + 4 <= r1; i += 4) {
-          const std::size_t p0 = phys(i), p1 = phys(i + 1), p2 = phys(i + 2),
-                            p3 = phys(i + 3);
-          const float* a0 = a.data() + p0 * k_dim + pc;
-          const float* a1 = a.data() + p1 * k_dim + pc;
-          const float* a2 = a.data() + p2 * k_dim + pc;
-          const float* a3 = a.data() + p3 * k_dim + pc;
-          float* c0 = c.data() + p0 * n + jc;
-          float* c1 = c.data() + p1 * n + jc;
-          float* c2 = c.data() + p2 * n + jc;
-          float* c3 = c.data() + p3 * n + jc;
+          const float* a0 = a.data() + i * k_dim + pc;
+          const float* a1 = a0 + k_dim;
+          const float* a2 = a1 + k_dim;
+          const float* a3 = a2 + k_dim;
+          float* c0 = c.data() + i * n + jc;
+          float* c1 = c0 + n;
+          float* c2 = c1 + n;
+          float* c3 = c2 + n;
           if (single_panel) {
             mk.tile_4row(a0, a1, a2, a3, pk, kcb, ncb, c0, c1, c2, c3);
           } else {
@@ -111,9 +92,8 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, const GemmOpts& opts) {
           }
         }
         for (; i < r1; ++i) {
-          const std::size_t p = phys(i);
-          const float* ar = a.data() + p * k_dim + pc;
-          float* cr = c.data() + p * n + jc;
+          const float* ar = a.data() + i * k_dim + pc;
+          float* cr = c.data() + i * n + jc;
           if (single_panel) {
             mk.tile_1row(ar, pk, kcb, ncb, ncb, cr);
           } else {
@@ -121,6 +101,37 @@ void gemm(const Matrix& a, const Matrix& b, Matrix& c, const GemmOpts& opts) {
           }
         }
       }, /*serial_threshold=*/32);
+    }
+  }
+}
+
+void gemm_tile(std::span<const float* const> a, const Matrix& b,
+               std::span<float* const> c, bool accumulate) {
+  const std::size_t m = a.size();
+  TAGNN_DCHECK(c.size() == m && m <= 4);
+  const std::size_t k = b.rows();
+  const std::size_t n = b.cols();
+  // ops::gemm streams into zeroed C rows once k spans several panels;
+  // a fresh product that deep does the same, keeping its zero-skips.
+  const bool streaming = accumulate || k > GemmBlocking{}.kc;
+  if (!accumulate && streaming) {
+    for (float* cr : c) std::fill(cr, cr + n, 0.0f);
+  }
+  const kernels::GemmMicroKernels& mk = kernels::registry().gemm();
+  const float* bp = b.data();
+  if (m == 4) {
+    if (streaming) {
+      mk.micro_4row(a[0], a[1], a[2], a[3], bp, k, n, c[0], c[1], c[2], c[3]);
+    } else {
+      mk.tile_4row(a[0], a[1], a[2], a[3], bp, k, n, c[0], c[1], c[2], c[3]);
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    if (streaming) {
+      mk.micro_1row(a[i], bp, k, n, c[i]);
+    } else {
+      mk.tile_1row(a[i], bp, k, n, n, c[i]);
     }
   }
 }

@@ -3,7 +3,8 @@
 //
 // Three ops are registered today:
 //   "gemm" — the blocked-GEMM micro-kernels (register-tile and
-//            streaming-accumulate forms) behind ops::gemm;
+//            streaming-accumulate forms) behind ops::gemm and
+//            ops::gemm_tile;
 //   "spmm" — the row copy/accumulate/scale primitives behind
 //            spmm_mean_csr and the GCN aggregation;
 //   "vec"  — axpy, relu, and batched sigmoid/tanh, behind ops::gemv /
@@ -60,7 +61,7 @@ struct CpuFeatures {
 /// Micro-kernels of the blocked GEMM (see tensor/gemm_blocked.cpp for
 /// the loop structure that drives them). tile_* hold a register tile
 /// over the full k range and store once; micro_* stream accumulate into
-/// C (multi-panel and accumulate-mode paths).
+/// C (multi-panel GEMM and gemm_tile accumulation).
 struct GemmMicroKernels {
   void (*micro_1row)(const float* arow, const float* packed, std::size_t kcb,
                      std::size_t ncb, float* crow) = nullptr;

@@ -15,7 +15,7 @@ namespace {
 constexpr std::size_t kTileCols = 16;  // C-tile width held in registers
 
 // Accumulates c[r, j0:j0+ncb) += a[r, p0:p0+kcb) * packed for one row
-// (streaming form for multi-panel k and accumulate-mode GEMM).
+// (streaming form for multi-panel k and gemm_tile accumulation).
 void micro_1row(const float* arow, const float* packed, std::size_t kcb,
                 std::size_t ncb, float* crow) {
   for (std::size_t kk = 0; kk < kcb; ++kk) {

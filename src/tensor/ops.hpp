@@ -16,7 +16,6 @@
 // value-identical results at any thread count under any ISA.
 #pragma once
 
-#include <cstdint>
 #include <span>
 
 #include "tensor/blocking.hpp"
@@ -27,24 +26,25 @@ namespace tagnn {
 namespace ops {
 
 struct GemmOpts {
-  /// When non-empty only the listed rows of C are produced (strictly
-  /// ascending, in range); all other rows are left untouched — the
-  /// masked-combination path of the GCN layers.
-  std::span<const std::uint32_t> rows = {};
   /// Cache-blocking parameters (kc/nc/mr).
   GemmBlocking blocking{};
-  /// C += A * B instead of C = A * B: the produced rows are accumulated
-  /// onto their existing contents (used by the batched RNN gate
-  /// pre-activations, which start from the bias row). Forces the
-  /// streaming micro-kernels so the existing values are folded in.
-  bool accumulate = false;
 };
 
-/// C = A * B (or C += A * B, see GemmOpts::accumulate).
-/// Shapes: (m x k) * (k x n) -> (m x n). Cache-blocked with B-panel
-/// packing and a registry-dispatched mr-row micro-kernel.
+/// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Cache-blocked with
+/// B-panel packing and a registry-dispatched mr-row micro-kernel.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c,
           const GemmOpts& opts = {});
+
+/// Row-tile GEMM on the calling thread: c[i] = a[i] * B, or c[i] +=
+/// a[i] * B with `accumulate`, for up to four caller-held rows (a[i]
+/// has b.rows() floats, c[i] has b.cols()). The fused per-tile passes
+/// of the GCN layer and the RNN step use it to keep a tile's rows in
+/// cache from aggregation or delta generation through the activation.
+/// Fresh products run the register-tile kernels and accumulation the
+/// streaming ones (which skip all-zero A columns), exactly as ops::gemm
+/// does, so each row is value-identical to the same row of ops::gemm.
+void gemm_tile(std::span<const float* const> a, const Matrix& b,
+               std::span<float* const> c, bool accumulate = false);
 
 struct GemvOpts {
   /// out[j] += ... instead of out[j] = ... (gate pre-activations start

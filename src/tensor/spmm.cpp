@@ -79,6 +79,15 @@ void spmm_mean_csr(std::span<const EdgeId> offsets,
   }, /*serial_threshold=*/64);
 }
 
+void spmm_mean_row(std::span<const EdgeId> offsets,
+                   std::span<const VertexId> neighbors,
+                   const std::vector<bool>& present, const Matrix& x,
+                   VertexId v, float* o) {
+  TAGNN_DCHECK(v < x.rows());
+  aggregate_row(kernels::registry().spmm(), offsets, neighbors, present, x,
+                v, o);
+}
+
 void spmm_mean_naive(std::span<const EdgeId> offsets,
                      std::span<const VertexId> neighbors,
                      const std::vector<bool>& present, const Matrix& x,

@@ -28,6 +28,14 @@ void spmm_mean_csr(std::span<const EdgeId> offsets,
                    const std::vector<bool>& present, const Matrix& x,
                    std::span<const VertexId> rows, Matrix& out);
 
+/// One row of spmm_mean_csr on the calling thread, written to `o`
+/// (x.cols() floats): the fused GCN layer aggregates tile by tile
+/// through it.
+void spmm_mean_row(std::span<const EdgeId> offsets,
+                   std::span<const VertexId> neighbors,
+                   const std::vector<bool>& present, const Matrix& x,
+                   VertexId v, float* o);
+
 /// Row-at-a-time reference (the pre-blocking per-vertex path), kept for
 /// the equivalence tests and as the bench_regress baseline.
 void spmm_mean_naive(std::span<const EdgeId> offsets,

@@ -1,8 +1,8 @@
 // Equivalence tests for the blocked hot-path kernels and the kernel
 // registry. The contract under test: every registered ISA variant (and
 // the blocked structure around it) is *value-identical* to the scalar
-// references for finite inputs, at any thread count, including
-// masked-row and accumulate-mode execution — so neither swapping the
+// references for finite inputs, at any thread count, including the
+// row-tile entry's fresh and accumulate modes — so neither swapping the
 // kernels under the engines nor forcing TAGNN_KERNEL_ISA can change
 // any result.
 #include <gtest/gtest.h>
@@ -61,6 +61,25 @@ Matrix rand_mat(std::size_t r, std::size_t c, std::uint64_t seed,
   return m;
 }
 
+// Produces the listed rows of C through ops::gemm_tile, four rows per
+// tile (the last tile partial), tiles spread over the pool.
+void gemm_listed_rows(const Matrix& a, const Matrix& b, Matrix& c,
+                      const std::vector<std::uint32_t>& rows,
+                      bool accumulate = false) {
+  parallel_for(0, (rows.size() + 3) / 4, [&](std::size_t t0, std::size_t t1) {
+    for (std::size_t t = t0; t < t1; ++t) {
+      const std::size_t len = std::min<std::size_t>(4, rows.size() - 4 * t);
+      const float* ar[4];
+      float* cr[4];
+      for (std::size_t i = 0; i < len; ++i) {
+        ar[i] = a.row(rows[4 * t + i]).data();
+        cr[i] = c.row(rows[4 * t + i]).data();
+      }
+      ops::gemm_tile({ar, len}, b, {cr, len}, accumulate);
+    }
+  }, /*serial_threshold=*/1);
+}
+
 // ---------- gemm_blocked vs gemm_naive ----------
 
 TEST(GemmBlocked, MatchesNaiveOnOddShapes) {
@@ -82,24 +101,30 @@ TEST(GemmBlocked, MatchesNaiveOnOddShapes) {
 }
 
 TEST(GemmBlocked, MaskedRowsComputeOnlyListedRows) {
-  const Matrix a = rand_mat(23, 40, 11);
-  const Matrix b = rand_mat(40, 19, 12);
-  Matrix full;
-  gemm_naive(a, b, full);
-
+  // The row-tile entry produces exactly the caller's rows: full and
+  // partial tiles, k past one blocking panel (the streaming form), and
+  // n wider than one column panel.
+  const struct { std::size_t m, k, n; } shapes[] = {
+      {23, 40, 19}, {23, 520, 45}, {23, 100, 257}};
   const std::vector<std::uint32_t> rows = {0, 3, 4, 5, 11, 22};
-  Matrix c(23, 19);
-  c.fill(-7.0f);  // sentinel: untouched rows must keep it
-  ops::gemm(a, b, c, {.rows = rows});
-  std::size_t next = 0;
-  for (std::uint32_t r = 0; r < 23; ++r) {
-    const bool listed = next < rows.size() && rows[next] == r;
-    if (listed) ++next;
-    for (std::size_t j = 0; j < 19; ++j) {
-      if (listed) {
-        EXPECT_EQ(c(r, j), full(r, j)) << "row " << r;
-      } else {
-        EXPECT_EQ(c(r, j), -7.0f) << "row " << r << " was touched";
+  for (const auto& s : shapes) {
+    const Matrix a = rand_mat(s.m, s.k, 11 + s.k, 0.2f);
+    const Matrix b = rand_mat(s.k, s.n, 12 + s.n);
+    Matrix full;
+    gemm_naive(a, b, full);
+    Matrix c(s.m, s.n);
+    c.fill(-7.0f);  // sentinel: untouched rows must keep it
+    gemm_listed_rows(a, b, c, rows);
+    std::size_t next = 0;
+    for (std::uint32_t r = 0; r < s.m; ++r) {
+      const bool listed = next < rows.size() && rows[next] == r;
+      if (listed) ++next;
+      for (std::size_t j = 0; j < s.n; ++j) {
+        if (listed) {
+          EXPECT_EQ(c(r, j), full(r, j)) << "row " << r << " k " << s.k;
+        } else {
+          EXPECT_EQ(c(r, j), -7.0f) << "row " << r << " was touched";
+        }
       }
     }
   }
@@ -402,7 +427,7 @@ TEST(KernelRegistry, IsaSweepMaskedAccumulateAndThreads) {
     ScopedGlobalThreadPool pool(threads);
     Matrix c(37, 29);
     c.fill(0.25f);  // accumulate on top of a non-zero C
-    ops::gemm(a, b, c, {.rows = rows, .accumulate = true});
+    gemm_listed_rows(a, b, c, rows, /*accumulate=*/true);
     return c;
   };
   const Matrix want = run("scalar", 1);
@@ -429,11 +454,11 @@ TEST(KernelRegistry, IsaSweepSpmmBitExact) {
   EXPECT_TRUE(bytes_equal(run("scalar"), run("avx2")));
 }
 
-// ---------- ops::gemm accumulate mode vs the gemv path ----------
+// ---------- row-tile accumulate mode vs the gemv path ----------
 
 // The RNN batch path relies on this: prefilling C rows (bias) and
-// accumulating a masked GEMM on top reproduces the accumulate-mode
-// gemv exactly, row by row.
+// accumulating row tiles on top reproduces the accumulate-mode gemv
+// exactly, row by row.
 TEST(GemmAccumulate, MatchesAccumulatingGemvPerRow) {
   const Matrix a = rand_mat(19, 33, 61, 0.3f);
   const Matrix b = rand_mat(33, 24, 62);
@@ -452,7 +477,7 @@ TEST(GemmAccumulate, MatchesAccumulatingGemvPerRow) {
   for (const std::uint32_t r : rows) {
     std::copy(bias.row(0).begin(), bias.row(0).end(), got.row(r).begin());
   }
-  ops::gemm(a, b, got, {.rows = rows, .accumulate = true});
+  gemm_listed_rows(a, b, got, rows, /*accumulate=*/true);
   for (const std::uint32_t r : rows) {
     for (std::size_t j = 0; j < 24; ++j) {
       EXPECT_EQ(want(r, j), got(r, j)) << "row " << r << " col " << j;
@@ -543,60 +568,83 @@ TEST(RnnBatch, DeltaUpdateRowsMatchesPerVertex) {
         DgnnWeights::init(ModelConfig::preset(preset), 12, 7);
     const RnnCell cell(w);
     const std::size_t n = 29;
-    // Dense delta rows with zero lanes sprinkled in (every third lane),
-    // as dense_delta would produce them.
-    Matrix dx = rand_mat(n, cell.input_dim(), 81, 0.1f);
-    Matrix dh = rand_mat(n, cell.hidden(), 82, 0.1f);
-    double total_nnz = 0;
-    for (Matrix* m : {&dx, &dh}) {
-      for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t j = 0; j < m->cols(); ++j) {
-          if (j % 3 == 1) (*m)(r, j) = 0.0f;
-        }
+    const float eps = 0.01f;
+    // Applied values drift from the current ones by up to 0.1 per lane,
+    // with every third lane unchanged, so the Condense Unit keeps most
+    // lanes and drops the rest.
+    const Matrix z = rand_mat(n, cell.input_dim(), 81);
+    const Matrix h0 = rand_mat(n, cell.hidden(), 83);
+    Matrix za0 = z, ha0 = h0;
+    for (Matrix* m : {&za0, &ha0}) {
+      const Matrix drift = rand_mat(n, m->cols(), 82, 0.0f);
+      for (std::size_t i = 0; i < m->size(); ++i) {
+        if (i % 3 != 1) m->data()[i] += 0.1f * drift.data()[i];
       }
     }
-    const Matrix h0 = rand_mat(n, cell.hidden(), 83);
     const Matrix c0 = rand_mat(n, cell.cell_state_dim(), 84);
     const Matrix cache0 = rand_mat(n, cell.cache_dim(), 85);
     std::vector<VertexId> rows;
-    for (VertexId v = 0; v < n; v += 2) rows.push_back(v);
-    for (const VertexId v : rows) {
-      for (std::size_t j = 0; j < dx.cols(); ++j) {
-        total_nnz += dx(v, j) != 0.0f;
-      }
-      for (std::size_t j = 0; j < dh.cols(); ++j) {
-        total_nnz += dh(v, j) != 0.0f;
-      }
-    }
+    for (VertexId v = 0; v < n; v += 2) rows.push_back(v);  // 15: 3 left over
 
+    // Per vertex: condense each delta, then fold it lane by lane.
     Matrix h_want = h0, c_want = c0, cache_want = cache0;
+    Matrix za_want = za0, ha_want = ha0;
+    Matrix dx(n, cell.input_dim()), dh(n, cell.hidden());
     OpCounts counts_want;
     for (const VertexId v : rows) {
+      dense_delta(z.row(v), za_want.row(v), eps, dx.row(v));
+      dense_delta(h_want.row(v), ha_want.row(v), eps, dh.row(v));
       cell.delta_update(dx.row(v), dh.row(v), h_want.row(v), c_want.row(v),
                         h_want.row(v), c_want.row(v), cache_want.row(v),
                         counts_want);
     }
-
-    Matrix h_got = h0, c_got = c0, cache_got = cache0;
-    OpCounts counts_got;
-    RnnBatchScratch ws;
-    cell.delta_update_rows(dx, dh, rows, total_nnz, h_got, c_got, cache_got,
-                           ws, counts_got);
-
-    // The batch forms each lane sum before folding it onto the cache,
-    // so values match the per-lane fold only up to reassociation.
-    for (std::size_t i = 0; i < cache_want.size(); ++i) {
-      EXPECT_NEAR(cache_want.data()[i], cache_got.data()[i], 1e-4f)
-          << preset << " cache idx " << i;
+    // Staged reference for the cache: both gate products as whole-matrix
+    // GEMMs, then the fold — the batch must reproduce it bit for bit.
+    Matrix xp, hp;
+    ops::gemm(dx, w.rnn_wx, xp);
+    ops::gemm(dh, w.rnn_wh, hp);
+    Matrix cache_staged = cache0;
+    const std::size_t gh = xp.cols();
+    for (const VertexId v : rows) {
+      float* cr = cache_staged.row(v).data();
+      for (std::size_t j = 0; j < gh; ++j) {
+        if (cell.kind() == RnnKind::kLstm) {
+          cr[j] = (cr[j] + xp(v, j)) + hp(v, j);
+        } else {
+          cr[j] += xp(v, j);
+          cr[gh + j] += hp(v, j);
+        }
+      }
     }
-    for (std::size_t i = 0; i < h_want.size(); ++i) {
-      EXPECT_NEAR(h_want.data()[i], h_got.data()[i], 1e-4f)
-          << preset << " h idx " << i;
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}}) {
+      ScopedGlobalThreadPool pool(threads);
+      Matrix h_got = h0, c_got = c0, cache_got = cache0;
+      Matrix za_got = za0, ha_got = ha0;
+      OpCounts counts_got;
+      cell.delta_update_rows(z, rows, eps, za_got, ha_got, h_got, c_got,
+                             cache_got, counts_got);
+
+      EXPECT_TRUE(bytes_equal(cache_staged, cache_got)) << preset;
+      EXPECT_TRUE(bytes_equal(za_want, za_got)) << preset;
+      EXPECT_TRUE(bytes_equal(ha_want, ha_got)) << preset;
+      // The batch forms each lane sum before folding it onto the cache,
+      // so values match the per-lane fold only up to reassociation.
+      for (std::size_t i = 0; i < cache_want.size(); ++i) {
+        EXPECT_NEAR(cache_want.data()[i], cache_got.data()[i], 1e-4f)
+            << preset << " cache idx " << i;
+      }
+      for (std::size_t i = 0; i < h_want.size(); ++i) {
+        EXPECT_NEAR(h_want.data()[i], h_got.data()[i], 1e-4f)
+            << preset << " h idx " << i;
+      }
+      EXPECT_EQ(counts_want.macs, counts_got.macs) << preset;
+      EXPECT_EQ(counts_want.delta_nnz, counts_got.delta_nnz) << preset;
+      EXPECT_EQ(counts_want.rnn_delta, counts_got.rnn_delta) << preset;
+      EXPECT_EQ(counts_want.feature_bytes, counts_got.feature_bytes)
+          << preset;
     }
-    EXPECT_EQ(counts_want.macs, counts_got.macs) << preset;
-    EXPECT_EQ(counts_want.delta_nnz, counts_got.delta_nnz) << preset;
-    EXPECT_EQ(counts_want.rnn_delta, counts_got.rnn_delta) << preset;
-    EXPECT_EQ(counts_want.feature_bytes, counts_got.feature_bytes) << preset;
   }
 }
 

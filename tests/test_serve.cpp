@@ -189,6 +189,36 @@ TEST(ServeTenant, DeltaEdgesChangeTopologyDeterministically) {
   EXPECT_EQ(t2.infer({}).digest, before);
   ASSERT_EQ(t2.ingest(delta).status, Status::kOk);
   EXPECT_EQ(t2.infer({}).digest, after);
+
+  // One command mixing present, duplicate and absent removals (unsorted)
+  // with adds: the result is pinned, so the removal pass cannot drift.
+  const Snapshot& s0 = t.stream().snapshot(0);
+  VertexId u = 0;
+  while (!s0.present[u] || s0.graph.degree(u) < 2) ++u;
+  const VertexId a = s0.graph.neighbors(u)[0];
+  const VertexId b = s0.graph.neighbors(u)[1];
+  ASSERT_FALSE(s0.graph.has_edge(u, u));
+  IngestCommand mixed;
+  mixed.remove_edges = {{u, b}, {a, u}, {u, a}, {u, b}, {u, u}, {0, 1}};
+  mixed.add_edges = {{u, u}, {b, a}, {a, b}, {b, a}};
+  ASSERT_EQ(t.ingest(mixed).status, Status::kOk);
+  const std::string mixed_digest = t.infer({}).digest;
+  EXPECT_EQ(mixed_digest, "h-30340e1ffbfbc19c");
+
+  // Ids are validated before anything is removed: the first bad removal
+  // wins over a bad add, and a failed delta leaves the topology as it
+  // was.
+  const auto n = static_cast<VertexId>(t.stream().num_vertices());
+  IngestCommand bad;
+  bad.remove_edges = {{u, a}, {0, n}};
+  bad.add_edges = {{n, 0}};
+  Reply r = t.ingest(bad);
+  EXPECT_EQ(r.status, Status::kBadRequest);
+  EXPECT_EQ(r.error, "remove_edges vertex id out of range");
+  bad.remove_edges = {{u, a}};
+  r = t.ingest(bad);
+  EXPECT_EQ(r.error, "add_edges vertex id out of range");
+  EXPECT_EQ(t.infer({}).digest, mixed_digest);
 }
 
 TEST(ServeTenant, RejectsBadRequests) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -181,6 +182,27 @@ Scenario make_scenario() {
   return {std::move(g), std::move(w)};
 }
 
+// Every OpCounts field, exactly: the engines count from per-chunk
+// integer partials, so the totals cannot depend on the thread count.
+void expect_counts_equal(const OpCounts& a, const OpCounts& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.macs, b.macs) << what;
+  EXPECT_EQ(a.adds, b.adds) << what;
+  EXPECT_EQ(a.activations, b.activations) << what;
+  EXPECT_EQ(a.feature_bytes, b.feature_bytes) << what;
+  EXPECT_EQ(a.weight_bytes, b.weight_bytes) << what;
+  EXPECT_EQ(a.structure_bytes, b.structure_bytes) << what;
+  EXPECT_EQ(a.output_bytes, b.output_bytes) << what;
+  EXPECT_EQ(a.redundant_bytes, b.redundant_bytes) << what;
+  EXPECT_EQ(a.gnn_vertex_computed, b.gnn_vertex_computed) << what;
+  EXPECT_EQ(a.gnn_vertex_reused, b.gnn_vertex_reused) << what;
+  EXPECT_EQ(a.rnn_full, b.rnn_full) << what;
+  EXPECT_EQ(a.rnn_delta, b.rnn_delta) << what;
+  EXPECT_EQ(a.rnn_skip, b.rnn_skip) << what;
+  EXPECT_EQ(a.similarity_scores, b.similarity_scores) << what;
+  EXPECT_EQ(a.delta_nnz, b.delta_nnz) << what;
+}
+
 TEST(EngineThreadsStress, ConcurrentMatchesReferenceAt1_2_8Threads) {
   const Scenario s = make_scenario();
 
@@ -188,10 +210,11 @@ TEST(EngineThreadsStress, ConcurrentMatchesReferenceAt1_2_8Threads) {
   copts.cell_skip = false;  // exact mode: concurrent == reference
   copts.window_size = 2;
 
-  EngineResult baseline;
+  EngineResult baseline, con_baseline;
   {
     ScopedGlobalThreadPool one(1);
     baseline = ReferenceEngine().run(s.g, s.w);
+    con_baseline = ConcurrentEngine(copts).run(s.g, s.w);
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -211,6 +234,11 @@ TEST(EngineThreadsStress, ConcurrentMatchesReferenceAt1_2_8Threads) {
     }
     EXPECT_EQ(max_abs_diff(ref.final_hidden, baseline.final_hidden), 0.0f);
     EXPECT_EQ(max_abs_diff(con.final_hidden, baseline.final_hidden), 0.0f);
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    expect_counts_equal(ref.total_counts(), baseline.total_counts(),
+                        "reference counts" + at);
+    expect_counts_equal(con.total_counts(), con_baseline.total_counts(),
+                        "concurrent counts" + at);
   }
 }
 
