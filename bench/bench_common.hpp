@@ -134,13 +134,18 @@ inline double median_of(std::vector<double> xs) {
 }
 
 /// Runs `fn` `warmup` times unmeasured (touches code + data caches,
-/// spins up the thread pool), then `iters` measured times.
-template <typename F>
-TimingStats time_median(F&& fn, int iters, int warmup = 1) {
-  for (int i = 0; i < warmup; ++i) fn();
+/// spins up the thread pool), then `iters` measured times. `setup` runs
+/// untimed before every call, e.g. to restore the state `fn` mutates.
+template <typename F, typename S>
+TimingStats time_median(F&& fn, int iters, int warmup, S&& setup) {
+  for (int i = 0; i < warmup; ++i) {
+    setup();
+    fn();
+  }
   std::vector<double> secs;
   secs.reserve(static_cast<std::size_t>(iters));
   for (int i = 0; i < iters; ++i) {
+    setup();
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const auto t1 = std::chrono::steady_clock::now();
@@ -156,6 +161,11 @@ TimingStats time_median(F&& fn, int iters, int warmup = 1) {
     st.mad_frac = median_of(dev) / st.median_sec;
   }
   return st;
+}
+
+template <typename F>
+TimingStats time_median(F&& fn, int iters, int warmup = 1) {
+  return time_median(fn, iters, warmup, [] {});
 }
 
 }  // namespace tagnn::bench

@@ -27,6 +27,7 @@
 #include "obs/mem/memtrack.hpp"
 #include "obs/telemetry.hpp"
 #include "nn/gcn.hpp"
+#include "nn/rnn.hpp"
 #include "tagnn/accelerator.hpp"
 #include "tensor/ops.hpp"
 
@@ -160,6 +161,83 @@ Entry bench_gcn_layer(const Options& o, int iters) {
            static_cast<double>(d_out);
   e.bytes = static_cast<double>(edges + nv) *
             static_cast<double>(d_in) * sizeof(float);
+  return e;
+}
+
+// RNN step: one delta_update_rows and one full_update_rows of a T-GCN
+// cell, with three of every four rows on the delta path (fk_tgcn sends
+// ~73% there) and applied rows drifted so about two thirds of the delta
+// lanes are kept. Both legs make the same calls from the same state,
+// restored untimed; the naive leg is pinned to the scalar kernels as
+// engine_tgcn_gt's is, the optimised leg runs the active ISA.
+Entry bench_rnn_rows(const Options& o, int iters) {
+  // A call is about a millisecond at the quick shape; sample as densely
+  // as the engine benches do.
+  iters = std::max(iters, 15);
+  const DgnnWeights w = DgnnWeights::init(ModelConfig::preset("T-GCN"),
+                                          /*feature_dim=*/16,
+                                          bench::rng_seed());
+  const RnnCell cell(w);
+  const std::size_t n = o.quick ? 2048 : 16384;
+  Rng rng(bench::rng_seed());
+  const Matrix z = Matrix::random(n, cell.input_dim(), rng, 1.0f);
+  const Matrix h0 = Matrix::random(n, cell.hidden(), rng, 1.0f);
+  const Matrix c0(n, cell.cell_state_dim());
+  const Matrix cache0 = Matrix::random(n, cell.cache_dim(), rng, 1.0f);
+  Matrix za0 = z, ha0 = h0;
+  for (Matrix* m : {&za0, &ha0}) {
+    for (std::size_t i = 0; i < m->size(); ++i) {
+      m->data()[i] += rng.uniform(-0.03f, 0.03f);
+    }
+  }
+  std::vector<VertexId> delta_rows, full_rows;
+  for (VertexId v = 0; v < n; ++v) {
+    (v % 4 == 3 ? full_rows : delta_rows).push_back(v);
+  }
+
+  struct State {
+    Matrix h, c, cache, za, ha;
+    OpCounts counts;
+  };
+  const auto leg = [&](State& s) {
+    const auto reset = [&] {
+      s.h = h0;
+      s.c = c0;
+      s.cache = cache0;
+      s.za = za0;
+      s.ha = ha0;
+      s.counts = OpCounts{};
+    };
+    RnnBatchScratch ws;
+    return bench::time_median(
+        [&] {
+          cell.delta_update_rows(z, delta_rows, EngineOptions{}.delta_eps,
+                                 s.za, s.ha, s.h, s.c, s.cache, s.counts);
+          cell.full_update_rows(z, full_rows, s.h, s.c, s.cache, ws,
+                                s.counts);
+        },
+        iters, /*warmup=*/1, reset);
+  };
+
+  Entry e;
+  e.name = "rnn_rows_tgcn";
+  State naive, opt;
+  const kernels::Isa prev_isa = kernels::registry().active_isa();
+  std::string isa_err;
+  TAGNN_CHECK_MSG(kernels::registry().force_isa("scalar", &isa_err),
+                  "pinning naive RNN rows to scalar: " << isa_err);
+  e.naive = leg(naive);
+  TAGNN_CHECK_MSG(
+      kernels::registry().force_isa(kernels::isa_name(prev_isa), &isa_err),
+      "restoring kernel ISA after naive RNN rows: " << isa_err);
+  e.opt = leg(opt);
+  check_identical(naive.h, opt.h, "rnn_rows_tgcn h");
+  check_identical(naive.cache, opt.cache, "rnn_rows_tgcn cache");
+  check_identical(naive.za, opt.za, "rnn_rows_tgcn z_applied");
+  check_identical(naive.ha, opt.ha, "rnn_rows_tgcn h_applied");
+  e.macs = opt.counts.macs;
+  e.bytes = opt.counts.feature_bytes + opt.counts.weight_bytes +
+            opt.counts.structure_bytes + opt.counts.output_bytes;
   return e;
 }
 
@@ -358,6 +436,8 @@ int run(int argc, char** argv) {
   entries.push_back(with_mem(bench_gemm(o, iters)));
   obs::mem::MemRegistry::global().reset_high_water();
   entries.push_back(with_mem(bench_gcn_layer(o, iters)));
+  obs::mem::MemRegistry::global().reset_high_water();
+  entries.push_back(with_mem(bench_rnn_rows(o, iters)));
   obs::mem::MemRegistry::global().reset_high_water();
   entries.push_back(with_mem(bench_engine(o, std::max(1, iters / 2))));
   obs::mem::MemRegistry::global().reset_high_water();

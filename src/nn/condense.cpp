@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "tensor/kernel_registry.hpp"
 
 namespace tagnn {
 
@@ -44,17 +45,8 @@ void condense_delta(std::span<const float> cur, std::span<float> applied,
 std::size_t dense_delta(std::span<const float> cur, std::span<float> applied,
                         float threshold, std::span<float> out) {
   TAGNN_CHECK(cur.size() == applied.size() && cur.size() == out.size());
-  // Branchless: the keep decision is data-dependent noise to the branch
-  // predictor at typical delta densities, so blends beat branches here.
-  std::size_t nnz = 0;
-  for (std::size_t i = 0; i < cur.size(); ++i) {
-    const float d = cur[i] - applied[i];
-    const bool keep = d > threshold || d < -threshold;
-    out[i] = keep ? d : 0.0f;
-    applied[i] = keep ? cur[i] : applied[i];
-    nnz += keep;
-  }
-  return nnz;
+  return kernels::registry().vec().delta_n(cur.data(), applied.data(),
+                                           threshold, cur.size(), out.data());
 }
 
 std::vector<float> expand(const CondensedVector& c) {

@@ -44,9 +44,11 @@ void condense_delta(std::span<const float> cur, std::span<float> applied,
                     float threshold, CondensedVector& out);
 
 /// Dense sibling of condense_delta for the batched delta path: writes
-/// the thresholded delta into `out` (below-threshold lanes become
-/// exact zeros), folds each kept component into `applied`, and returns
-/// the kept-lane count. Same keep condition as condense_delta.
+/// the thresholded delta into `out` (dropped lanes, NaN deltas
+/// included, become +0.0f), folds each kept component into `applied`,
+/// and returns the kept-lane count. Same keep condition as
+/// condense_delta; runs as the kernel registry's "vec" delta_n, so
+/// every ISA gives the same bits.
 std::size_t dense_delta(std::span<const float> cur, std::span<float> applied,
                         float threshold, std::span<float> out);
 

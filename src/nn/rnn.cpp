@@ -147,11 +147,10 @@ void RnnCell::full_update_tile(const Matrix& z,
   }
   ops::gemm_tile({zr, m}, w_.rnn_wx, {xp, m}, /*accumulate=*/true);
   ops::gemm_tile({hr, m}, w_.rnn_wh, {hp, m});
+  const kernels::SpmmMicroKernels& sk = kernels::registry().spmm();
   for (std::size_t i = 0; i < m; ++i) {
     const auto v = static_cast<std::size_t>(tile[i]);
-    if (kind_ == RnnKind::kLstm) {
-      for (std::size_t j = 0; j < gh; ++j) xp[i][j] = xp[i][j] + hp[i][j];
-    }
+    if (kind_ == RnnKind::kLstm) sk.row_add(hp[i], gh, xp[i]);
     derive_outputs(h.row(v), c.row(v), cache.row(v), h.row(v), c.row(v));
   }
 }
@@ -251,20 +250,17 @@ std::size_t RnnCell::delta_update_tile(const Matrix& z,
   }
   ops::gemm_tile({dx, m}, w_.rnn_wx, {xp, m});
   ops::gemm_tile({dh, m}, w_.rnn_wh, {hp, m});
+  const kernels::SpmmMicroKernels& sk = kernels::registry().spmm();
   for (std::size_t i = 0; i < m; ++i) {
     const VertexId v = tile[i];
     const std::span<float> vcache = cache.row(v);
     if (kind_ == RnnKind::kLstm) {
       // x- and h-parts share the combined pre-activation vector.
-      for (std::size_t j = 0; j < gh; ++j) {
-        vcache[j] = (vcache[j] + xp[i][j]) + hp[i][j];
-      }
+      sk.row_add2(xp[i], hp[i], gh, vcache.data());
     } else {
       // GRU keeps the h-part in the upper half of the cache.
-      for (std::size_t j = 0; j < gh; ++j) {
-        vcache[j] += xp[i][j];
-        vcache[gh + j] += hp[i][j];
-      }
+      sk.row_add(xp[i], gh, vcache.data());
+      sk.row_add(hp[i], gh, vcache.data() + gh);
     }
     derive_outputs(h.row(v), c.row(v), vcache, h.row(v), c.row(v));
   }

@@ -1,5 +1,6 @@
 // Shared scalar definitions of the polynomial exp/sigmoid/tanh used by
-// the activation kernels ("vec" op, sigmoid_n/tanh_n).
+// the activation kernels ("vec" op, sigmoid_n/tanh_n), and of the
+// Condense Unit's thresholded delta lane behind delta_n.
 //
 // Why not libm: expf/tanhf are opaque scalar calls, so the RNN gate
 // derivation (3 transcendentals per hidden lane per update) cannot be
@@ -12,6 +13,13 @@
 // remainder lanes. Include only from TUs compiled with
 // -ffp-contract=off, or the compiler may fuse the mul/add pairs and
 // break cross-ISA bit-exactness.
+//
+// The kernel TUs include this header under different -m flags (the
+// AVX2 TU with -mavx2 -mfma), so every function here is `static`: each
+// TU keeps its own copy built with its own flags. With external
+// linkage, a copy the compiler did not inline would become one COMDAT
+// definition per TU, the linker would keep just one of them, and the
+// scalar kernels could end up running AVX code on hosts without AVX.
 //
 // Deviations from libm: results differ from expf/tanhf in the last few
 // ulp, and NaN inputs are clamped like any out-of-range value instead
@@ -45,7 +53,7 @@ inline constexpr float kExpP5 = 5.0000001201e-1f;
 // _mm256_max_ps evaluate them (second operand wins on NaN); the
 // rounding uses the default nearest-even mode, matching
 // _mm256_round_ps(_MM_FROUND_TO_NEAREST_INT).
-inline float exp_approx(float x) {
+static inline float exp_approx(float x) {
   x = x < kExpHi ? x : kExpHi;
   x = x > kExpLo ? x : kExpLo;
   const float n = std::nearbyintf(x * kLog2e);
@@ -67,14 +75,28 @@ inline float exp_approx(float x) {
   return p * std::bit_cast<float>(e);
 }
 
-inline float sigmoid_approx(float x) {
+static inline float sigmoid_approx(float x) {
   return 1.0f / (1.0f + exp_approx(-x));
 }
 
 // tanh(x) = 1 - 2/(e^{2x} + 1): one exp evaluation, saturates cleanly
 // for large |x| via the exp clamp.
-inline float tanh_approx(float x) {
+static inline float tanh_approx(float x) {
   return 1.0f - 2.0f / (exp_approx(x * 2.0f) + 1.0f);
+}
+
+// The Condense Unit's thresholded delta of one lane: writes the kept
+// delta (+0.0f when dropped) to `out`, folds a kept lane into
+// `applied`, and returns whether it was kept. The compares are ordered,
+// so a NaN delta is dropped. The scalar delta_n runs it over the whole
+// vector, the AVX2 one over its remainder lanes.
+static inline bool delta_lane(float cur, float& applied, float eps,
+                              float& out) {
+  const float d = cur - applied;
+  const bool keep = d > eps || d < -eps;
+  out = keep ? d : 0.0f;
+  applied = keep ? cur : applied;
+  return keep;
 }
 
 }  // namespace tagnn::kernels::detail

@@ -7,8 +7,10 @@
 //            ops::gemm_tile;
 //   "spmm" — the row copy/accumulate/scale primitives behind
 //            spmm_mean_csr and the GCN aggregation;
-//   "vec"  — axpy, relu, and batched sigmoid/tanh, behind ops::gemv /
-//            axpy / relu / sigmoid / tanh_act and the RNN gate paths.
+//   "vec"  — axpy, relu, batched sigmoid/tanh, and the Condense Unit's
+//            thresholded delta (delta_n), behind ops::gemv / axpy /
+//            relu / sigmoid / tanh_act, the RNN gate paths and
+//            dense_delta.
 //
 // Every variant of an op is *value-identical* to the scalar one: the
 // SIMD kernels use separate multiply and add (no FMA contraction, the
@@ -87,16 +89,22 @@ struct SpmmMicroKernels {
   void (*row_scale)(float s, std::size_t d, float* o) = nullptr;
 };
 
-/// Vector kernels: y += alpha * x, in-place relu, and the batched
+/// Vector kernels: y += alpha * x, in-place relu, the batched
 /// sigmoid/tanh behind the RNN gate derivation (polynomial exp
 /// approximation — see tensor/activation_math.hpp; every ISA variant
-/// reproduces the scalar results bit-for-bit, but they are not libm's).
+/// reproduces the scalar results bit-for-bit, but they are not libm's),
+/// and the Condense Unit's thresholded delta behind dense_delta:
+///   delta_n — out = |cur - applied| > eps ? cur - applied : +0.0f
+///             (NaN lanes dropped), kept lanes copied from cur into
+///             applied; returns the kept-lane count.
 struct VecKernels {
   void (*axpy)(const float* x, float alpha, std::size_t n,
                float* y) = nullptr;
   void (*relu)(float* x, std::size_t n) = nullptr;
   void (*sigmoid_n)(const float* x, std::size_t n, float* out) = nullptr;
   void (*tanh_n)(const float* x, std::size_t n, float* out) = nullptr;
+  std::size_t (*delta_n)(const float* cur, float* applied, float eps,
+                         std::size_t n, float* out) = nullptr;
 };
 
 class KernelRegistry {

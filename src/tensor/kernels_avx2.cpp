@@ -24,6 +24,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
 
 #include "tensor/activation_math.hpp"
 
@@ -274,6 +275,38 @@ void tanh_n(const float* x, std::size_t n, float* out) {
   for (; i < n; ++i) out[i] = detail::tanh_approx(x[i]);
 }
 
+// The Condense Unit's thresholded delta: an 8-lane mirror of
+// detail::delta_lane, which also serves the remainder lanes. The
+// ordered compares drop NaN deltas like the scalar `||` of `>` and `<`;
+// the AND with the all-ones/all-zeros mask writes +0.0f for a dropped
+// lane, as `keep ? d : 0.0f` does. Kept lanes are counted by
+// subtracting the mask (-1 per kept lane) from per-lane counters.
+std::size_t delta_n(const float* cur, float* applied, float eps,
+                    std::size_t n, float* out) {
+  const __m256 pos = _mm256_set1_ps(eps);
+  const __m256 neg = _mm256_set1_ps(-eps);
+  __m256i counts = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 c = _mm256_loadu_ps(cur + i);
+    const __m256 a = _mm256_loadu_ps(applied + i);
+    const __m256 d = _mm256_sub_ps(c, a);
+    const __m256 keep = _mm256_or_ps(_mm256_cmp_ps(d, pos, _CMP_GT_OQ),
+                                     _mm256_cmp_ps(d, neg, _CMP_LT_OQ));
+    _mm256_storeu_ps(out + i, _mm256_and_ps(keep, d));
+    _mm256_storeu_ps(applied + i, _mm256_blendv_ps(a, c, keep));
+    counts = _mm256_sub_epi32(counts, _mm256_castps_si256(keep));
+  }
+  alignas(32) std::int32_t lane_counts[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_counts), counts);
+  std::size_t kept = 0;
+  for (const std::int32_t k : lane_counts) kept += static_cast<std::size_t>(k);
+  for (; i < n; ++i) {
+    kept += detail::delta_lane(cur[i], applied[i], eps, out[i]);
+  }
+  return kept;
+}
+
 }  // namespace
 
 // tagnn-accum-order: ascending-k
@@ -299,6 +332,7 @@ void register_avx2_kernels(KernelRegistry& r) {
   vec.relu = relu;
   vec.sigmoid_n = sigmoid_n;
   vec.tanh_n = tanh_n;
+  vec.delta_n = delta_n;
   r.register_vec("avx2", Isa::kAvx2, /*priority=*/10, vec);
 }
 

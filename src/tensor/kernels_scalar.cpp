@@ -149,6 +149,17 @@ void tanh_n(const float* x, std::size_t n, float* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = detail::tanh_approx(x[i]);
 }
 
+// The Condense Unit's thresholded delta (detail::delta_lane, shared
+// with the AVX2 remainder lanes).
+std::size_t delta_n(const float* cur, float* applied, float eps,
+                    std::size_t n, float* out) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    kept += detail::delta_lane(cur[i], applied[i], eps, out[i]);
+  }
+  return kept;
+}
+
 }  // namespace
 
 // tagnn-accum-order: ascending-k
@@ -174,6 +185,7 @@ void register_scalar_kernels(KernelRegistry& r) {
   vec.relu = relu;
   vec.sigmoid_n = sigmoid_n;
   vec.tanh_n = tanh_n;
+  vec.delta_n = delta_n;
   r.register_vec("scalar", Isa::kScalar, /*priority=*/0, vec);
 }
 

@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -45,7 +48,8 @@ bool bytes_equal(const Matrix& a, const Matrix& b) {
 
 bool bytes_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 Matrix rand_mat(std::size_t r, std::size_t c, std::uint64_t seed,
@@ -560,6 +564,88 @@ TEST(IsaSweep, ActivationsBitExactAndNearLibm) {
   }
   EXPECT_TRUE(bytes_equal(sig_s, sig_v));
   EXPECT_TRUE(bytes_equal(tanh_s, tanh_v));
+}
+
+// ---------- Condense Unit delta kernel ----------
+
+// Frozen copy of dense_delta's loop as it was before it moved into the
+// registry. The scalar delta_n must reproduce it bit for bit.
+std::size_t frozen_dense_delta(const float* cur, float* applied, float eps,
+                               std::size_t n, float* out) {
+  std::size_t nnz = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float d = cur[i] - applied[i];
+    const bool keep = d > eps || d < -eps;
+    out[i] = keep ? d : 0.0f;
+    applied[i] = keep ? cur[i] : applied[i];
+    nnz += keep;
+  }
+  return nnz;
+}
+
+// delta_n: the scalar kernel equals the frozen loop and the AVX2 kernel
+// equals the scalar one, byte for byte (out, applied and the kept
+// count), over every tail length of the 8-lane body. Delta lanes
+// include deltas of exactly +-eps (dropped), +-0, subnormals, NaN and
+// +-Inf.
+TEST(IsaSweep, DeltaKernelBitExactAndMatchesFrozenLoop) {
+  const kernels::VecKernels& scalar =
+      kernels::registry().vec(kernels::Isa::kScalar);
+  const bool has_avx2 = kernels::CpuFeatures::host().avx2;
+  const kernels::VecKernels& avx2 =
+      kernels::registry().vec(kernels::Isa::kAvx2);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min();
+
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 19; ++n) lengths.push_back(n);
+  lengths.push_back(48);
+  lengths.push_back(144);
+  for (const float eps : {0.01f, 0.0f, 4.0f * sub}) {
+    const float above = std::nextafter(eps, inf);
+    // (cur, applied) pairs whose delta sits on a keep/drop edge.
+    const std::pair<float, float> specials[] = {
+        {eps, 0.0f},   {-eps, 0.0f},   {above, 0.0f},  {-above, 0.0f},
+        {0.0f, -0.0f}, {-0.0f, 0.0f},  {sub, 0.0f},    {0.0f, 3.0f * sub},
+        {nan, 1.0f},   {1.0f, nan},    {nan, nan},     {inf, 1.0f},
+        {-inf, 0.0f},  {inf, inf},     {1.0f, -inf},   {0.5f, 0.5f},
+    };
+    for (const std::size_t n : lengths) {
+      Rng rng(1000 + n);
+      std::vector<float> cur(n), applied(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i % 3 != 2) {
+          const auto& [c, a] = specials[(i + n) % std::size(specials)];
+          cur[i] = c;
+          applied[i] = a;
+        } else {
+          applied[i] = rng.uniform(-1.0f, 1.0f);
+          cur[i] = applied[i] + rng.uniform(-0.03f, 0.03f);
+        }
+      }
+      std::vector<float> app_f = applied, out_f(n, -1.0f);
+      const std::size_t kept_f =
+          frozen_dense_delta(cur.data(), app_f.data(), eps, n, out_f.data());
+      std::vector<float> app_s = applied, out_s(n, -1.0f);
+      const std::size_t kept_s =
+          scalar.delta_n(cur.data(), app_s.data(), eps, n, out_s.data());
+      EXPECT_EQ(kept_f, kept_s) << "n " << n << " eps " << eps;
+      EXPECT_TRUE(bytes_equal(out_f, out_s)) << "n " << n << " eps " << eps;
+      EXPECT_TRUE(bytes_equal(app_f, app_s)) << "n " << n << " eps " << eps;
+      if (!has_avx2) continue;
+      std::vector<float> app_v = applied, out_v(n, -1.0f);
+      const std::size_t kept_v =
+          avx2.delta_n(cur.data(), app_v.data(), eps, n, out_v.data());
+      EXPECT_EQ(kept_s, kept_v) << "n " << n << " eps " << eps;
+      EXPECT_TRUE(bytes_equal(out_s, out_v)) << "n " << n << " eps " << eps;
+      EXPECT_TRUE(bytes_equal(app_s, app_v)) << "n " << n << " eps " << eps;
+    }
+  }
+
+  if (!has_avx2) {
+    GTEST_SKIP() << "host has no AVX2; scalar is the only variant";
+  }
 }
 
 TEST(RnnBatch, DeltaUpdateRowsMatchesPerVertex) {
