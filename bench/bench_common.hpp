@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json_escape.hpp"
 #include "common/table.hpp"
 #include "graph/datasets.hpp"
 #include "nn/engine.hpp"

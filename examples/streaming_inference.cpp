@@ -2,9 +2,8 @@
 // from a live graph feed); windows are processed as they fill, with
 // bounded memory. Since the serving layer landed, this example is a
 // thin in-process client of serve::Tenant — the same code path
-// tagnn_serve runs per tenant — with the incremental classifier shown
-// side by side. The windowing/carry mechanics live in serve::Tenant +
-// nn/streaming.hpp; nothing is duplicated here.
+// tagnn_serve runs per tenant. The windowing/carry mechanics live in
+// serve::Tenant + nn/streaming.hpp; nothing is duplicated here.
 //
 // Takes the shared telemetry flags (obs/cli.hpp), so it doubles as the
 // smallest host of the live telemetry plane:
@@ -16,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/incremental.hpp"
 #include "nn/engine.hpp"
 #include "obs/cli.hpp"
 #include "obs/live/live.hpp"
@@ -67,26 +65,13 @@ int main(int argc, char** argv) {
             << g.num_vertices() << " vertices (window "
             << cfg.engine.window_size << ")...\n";
 
-  IncrementalClassifier inc(g, 4);
-
   for (SnapshotId t = 0; t < g.num_snapshots(); ++t) {
     serve::IngestCommand step;
     step.advance = 1;
     const serve::Reply r = tenant.ingest(step);
     std::cout << "t=" << t << ": " << serve::to_string(r.status)
               << ", buffered " << (r.snapshots - r.processed)
-              << " of a window";
-    if (t + 4 <= g.num_snapshots()) {
-      const auto& cls = inc.advance(t <= g.num_snapshots() - 4
-                                        ? t
-                                        : g.num_snapshots() - 4);
-      std::cout << "  | window[" << cls.window.start << ","
-                << cls.window.end() << "): "
-                << 100.0 * cls.ratio(VertexClass::kUnaffected)
-                << "% unaffected (reclassified " << inc.last_reclassified()
-                << " vertices)";
-    }
-    std::cout << "\n";
+              << " of a window\n";
   }
   // Inference flushes the trailing partial window and digests the
   // final features — exactly what POST /v1/infer does on the server.

@@ -26,7 +26,6 @@ EngineResult run_skeleton(const DynamicGraph& g, const DgnnWeights& weights,
 
   EngineResult res;
   Matrix a, b;
-  Matrix prev_z;
   for (SnapshotId t = 0; t < g.num_snapshots(); ++t) {
     const Snapshot& snap = g.snapshot(t);
     obs::ScopedTimer t_gnn(&res.seconds.gnn);
@@ -47,12 +46,11 @@ EngineResult run_skeleton(const DynamicGraph& g, const DgnnWeights& weights,
         n,
         [&](VertexId v, OpCounts& counts) {
           if (!snap.present[v]) return;
-          update(t, v, z, prev_z, st, counts);
+          update(t, v, z, st, counts);
         },
         res.rnn_counts);
     t_rnn.stop();
 
-    prev_z = z;
     res.outputs.push_back(st.h);
     ++res.snapshots_processed;
   }
@@ -99,8 +97,7 @@ EngineResult run_with_approximation(const DynamicGraph& g,
       Matrix h_used(g.num_vertices(), weights.config.rnn_hidden);
       auto update = [&, th = opts.delta_threshold](
                         SnapshotId t, VertexId v, const Matrix& z,
-                        const Matrix& /*prev_z*/, detail::RnnState& st,
-                        OpCounts& counts) {
+                        detail::RnnState& st, OpCounts& counts) {
         if (t == 0) {
           copy(st.h.row(v), h_used.row(v));
           cell.full_update(z.row(v), st.h.row(v), st.c.row(v), st.h.row(v),
@@ -152,8 +149,7 @@ EngineResult run_with_approximation(const DynamicGraph& g,
       const RnnCell cell(weights);
       const float step = std::ldexp(1.0f, -opts.alstm_bits);
       auto update = [&](SnapshotId, VertexId v, const Matrix& z,
-                        const Matrix&, detail::RnnState& st,
-                        OpCounts& counts) {
+                        detail::RnnState& st, OpCounts& counts) {
         // Quantise inputs and recurrent state to the coarse grid before
         // the (otherwise exact) update — the net effect of approximate
         // fixed-point gates.
@@ -184,8 +180,7 @@ EngineResult run_with_approximation(const DynamicGraph& g,
       const RnnCell cell(wa);
       const float step = std::ldexp(1.0f, -(opts.alstm_bits + 2));
       auto update = [&](SnapshotId, VertexId v, const Matrix& z,
-                        const Matrix&, detail::RnnState& st,
-                        OpCounts& counts) {
+                        detail::RnnState& st, OpCounts& counts) {
         cell.full_update(z.row(v), st.h.row(v), st.c.row(v), st.h.row(v),
                          st.c.row(v), st.cache.row(v), counts);
         auto h = st.h.row(v);

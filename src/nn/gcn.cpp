@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -46,20 +47,16 @@ void gcn_layer_forward(const Snapshot& snap, const Matrix& h_in,
     h_out = Matrix(n, d_out);
   }
 
-  // Computed-row list: a caller-provided list wins; otherwise one pass
-  // over the compute mask builds it into the scratch.
+  // Computed-row list: the caller's, or every vertex built into the
+  // scratch.
   GcnScratch local;
   GcnScratch& ws = opts.scratch != nullptr ? *opts.scratch : local;
   std::span<const VertexId> row_list;
   if (opts.compute_rows != nullptr) {
     row_list = *opts.compute_rows;
   } else {
-    ws.rows.clear();
-    ws.rows.reserve(n);
-    for (VertexId v = 0; v < n; ++v) {
-      if (opts.compute != nullptr && !(*opts.compute)[v]) continue;
-      ws.rows.push_back(v);
-    }
+    ws.rows.resize(n);
+    std::iota(ws.rows.begin(), ws.rows.end(), VertexId{0});
     row_list = ws.rows;
   }
 

@@ -1,8 +1,8 @@
 // GCN layer forward pass (aggregation + combination), with optional
-// per-vertex compute masks or precomputed row lists so multi-snapshot
-// engines can reuse unchanged outputs across snapshots, and a traffic
-// switch so gathers of rows already staged on chip (O-CSR single-copy
-// features) are not charged to off-chip traffic again.
+// precomputed row lists so multi-snapshot engines can reuse unchanged
+// outputs across snapshots, and a traffic switch so gathers of rows
+// already staged on chip (O-CSR single-copy features) are not charged
+// to off-chip traffic again.
 #pragma once
 
 #include <vector>
@@ -20,20 +20,16 @@ void aggregate_vertex(const Snapshot& snap, const Matrix& h_in, VertexId v,
                       std::span<float> out);
 
 /// Caller-owned workspace reused across gcn_layer_forward calls so the
-/// computed-row list built from a compute mask is not reallocated per
-/// layer/snapshot. Engines keep one per run.
+/// all-vertices row list is not reallocated per layer/snapshot. Engines
+/// keep one per run.
 struct GcnScratch {
   std::vector<VertexId> rows;   // vertices computed this call, ascending
 };
 
 struct GcnForwardOptions {
-  /// Only vertices with (*compute)[v] == true are produced; other rows
-  /// of h_out are left untouched. nullptr = all vertices.
-  const std::vector<bool>* compute = nullptr;
-  /// Precomputed ascending list of vertices to produce; wins over
-  /// `compute` when non-null (an empty list computes nothing). Lets
-  /// engines that already know the changed rows skip the O(n) mask
-  /// scan per layer.
+  /// Ascending list of vertices to produce (an empty list computes
+  /// nothing); other rows of h_out are left untouched. nullptr = all
+  /// vertices.
   const std::vector<VertexId>* compute_rows = nullptr;
   /// Charge off-chip feature-row gathers to `feature_bytes`. Engines
   /// whose window features are fully resident on chip (O-CSR

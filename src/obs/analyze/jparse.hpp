@@ -1,12 +1,13 @@
-// Minimal JSON reader for the diagnosis layer.
+// The repo's one JSON parser.
 //
-// obs/jsonv.hpp answers "is this well-formed?"; this header answers
-// "what does it say?". It parses one RFC 8259 document into a small
-// value tree so the analyzer and tools/tagnn_report can consume metrics
-// snapshots, run reports, and ledger lines without an external JSON
-// library. Object key order is preserved (reports are written with
-// deliberate ordering); duplicate keys keep the last occurrence on
-// lookup, mirroring common JSON library behaviour.
+// It parses one RFC 8259 document into a small value tree so the
+// analyzer, tools/tagnn_report and the serve request plane can consume
+// metrics snapshots, run reports, ledger lines and request bodies
+// without an external JSON library; obs/jsonv.hpp's "is this
+// well-formed?" is a parse through it. Object key order is preserved
+// (reports are written with deliberate ordering); duplicate keys keep
+// the last occurrence on lookup, mirroring common JSON library
+// behaviour.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +80,8 @@ class JsonValue {
 /// Parses exactly one JSON document (surrounding whitespace allowed).
 /// Returns false and fills `error` (if non-null) on malformed input;
 /// `out` is left default-constructed in that case. NaN / Infinity
-/// tokens are rejected, matching obs::json_valid.
+/// tokens are rejected. obs::json_valid is this call with a discarded
+/// value.
 bool json_parse(std::string_view text, JsonValue* out,
                 std::string* error = nullptr);
 

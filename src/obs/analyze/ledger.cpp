@@ -8,44 +8,12 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json_escape.hpp"
 #include "obs/analyze/jparse.hpp"
 #include "obs/jsonv.hpp"
 
 namespace tagnn::obs::analyze {
 namespace {
-
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 double median_of(std::vector<double> v) {
   const std::size_t n = v.size();
@@ -81,13 +49,13 @@ std::string fingerprint(std::string_view canonical) {
 std::string run_record_json(const RunRecord& rec) {
   std::ostringstream os;
   os << "{\"schema\": \"" << kRunSchema << "\", \"workload\": \""
-     << escape(rec.workload) << "\", \"git_sha\": \""
-     << escape(rec.git_sha.empty() ? "unknown" : rec.git_sha)
-     << "\", \"config_fingerprint\": \"" << escape(rec.config_fingerprint)
-     << "\", \"env\": \"" << escape(rec.env) << "\", \"timestamp\": \""
-     << escape(rec.timestamp) << "\", \"metrics\": {";
+     << json_escape(rec.workload) << "\", \"git_sha\": \""
+     << json_escape(rec.git_sha.empty() ? "unknown" : rec.git_sha)
+     << "\", \"config_fingerprint\": \"" << json_escape(rec.config_fingerprint)
+     << "\", \"env\": \"" << json_escape(rec.env) << "\", \"timestamp\": \""
+     << json_escape(rec.timestamp) << "\", \"metrics\": {";
   for (std::size_t i = 0; i < rec.metrics.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << escape(rec.metrics[i].first)
+    os << (i ? ", " : "") << "\"" << json_escape(rec.metrics[i].first)
        << "\": ";
     write_json_number(os, rec.metrics[i].second);
   }

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/json_escape.hpp"
 #include "obs/analyze/jparse.hpp"
 
 namespace tagnn::obs::analyze::lint {
@@ -1144,34 +1145,7 @@ bool lint_repo(const std::string& db_path, const std::string& root,
 namespace {
 
 void write_escaped(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
+  os << '"' << json_escape(s) << '"';
 }
 
 void write_finding(std::ostream& os, const Finding& f, bool with_reason,

@@ -1,229 +1,19 @@
 #include "obs/jsonv.hpp"
 
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ostream>
 #include <sstream>
 
+#include "obs/analyze/jparse.hpp"
+
 namespace tagnn::obs {
-namespace {
-
-constexpr int kMaxDepth = 256;
-
-class Parser {
- public:
-  explicit Parser(std::string_view s) : s_(s) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!value(0)) {
-      emit(error);
-      return false;
-    }
-    skip_ws();
-    if (pos_ != s_.size()) {
-      fail("trailing content after JSON value");
-      emit(error);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void emit(std::string* error) const {
-    if (error != nullptr) {
-      std::ostringstream os;
-      os << err_ << " at byte " << err_pos_;
-      *error = os.str();
-    }
-  }
-
-  bool fail(const char* msg) {
-    if (err_.empty()) {
-      err_ = msg;
-      err_pos_ = pos_;
-    }
-    return false;
-  }
-
-  bool eof() const { return pos_ >= s_.size(); }
-  char peek() const { return s_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                      s_[pos_] == '\n' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) {
-      return fail("invalid literal");
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value(int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
-    if (eof()) return fail("unexpected end of input");
-    switch (peek()) {
-      case '{':
-        return object(depth);
-      case '[':
-        return array(depth);
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      case 'N':  // "NaN"
-      case 'I':  // "Infinity"
-        return fail("NaN/Infinity are not valid JSON (expected null)");
-      default:
-        return number();
-    }
-  }
-
-  bool object(int depth) {
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (eof() || peek() != '"') return fail("expected object key");
-      if (!string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') return fail("expected ':'");
-      ++pos_;
-      skip_ws();
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool array(int depth) {
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (eof()) return fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool string() {
-    ++pos_;  // '"'
-    while (!eof()) {
-      const unsigned char c = static_cast<unsigned char>(s_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c < 0x20) return fail("unescaped control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) return fail("truncated escape");
-        const char e = s_[pos_];
-        if (e == '"' || e == '\\' || e == '/' || e == 'b' || e == 'f' ||
-            e == 'n' || e == 'r' || e == 't') {
-          ++pos_;
-        } else if (e == 'u') {
-          ++pos_;
-          for (int i = 0; i < 4; ++i) {
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(peek()))) {
-              return fail("invalid \\u escape");
-            }
-            ++pos_;
-          }
-        } else {
-          return fail("invalid escape character");
-        }
-      } else {
-        ++pos_;
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  bool digits() {
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-      return fail("expected digit");
-    }
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-      ++pos_;
-    }
-    return true;
-  }
-
-  bool number() {
-    if (peek() == '-') ++pos_;
-    if (eof()) return fail("truncated number");
-    if (peek() == 'I' || peek() == 'N') {  // "-Infinity", "-NaN"
-      return fail("NaN/Infinity are not valid JSON (expected null)");
-    }
-    if (peek() == '0') {
-      ++pos_;
-    } else if (std::isdigit(static_cast<unsigned char>(peek()))) {
-      if (!digits()) return false;
-    } else {
-      return fail("invalid number");
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (!digits()) return false;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-  std::string err_;
-  std::size_t err_pos_ = 0;
-};
-
-}  // namespace
 
 bool json_valid(std::string_view text, std::string* error) {
-  return Parser(text).run(error);
+  analyze::JsonValue discarded;
+  return analyze::json_parse(text, &discarded, error);
 }
 
 bool jsonl_valid(std::string_view text, std::string* error,

@@ -2,7 +2,10 @@
 //
 // Used by tests and tools/json_validate to check that every emitted
 // report, metrics snapshot, and Chrome trace is well-formed without
-// pulling in a JSON library dependency.
+// pulling in a JSON library dependency. Validation is a parse through
+// obs/analyze/jparse.hpp into a discarded value, so the validator and
+// the reader accept and reject exactly the same documents, with the
+// same "... at byte N" messages.
 #pragma once
 
 #include <cstddef>

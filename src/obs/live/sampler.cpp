@@ -1,11 +1,10 @@
 #include "obs/live/sampler.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <sstream>
-#include <string_view>
 #include <utility>
 
+#include "common/json_escape.hpp"
 #include "obs/jsonv.hpp"
 #include "obs/live/flight_recorder.hpp"
 #include "obs/mem/memtrack.hpp"
@@ -26,32 +25,6 @@ std::uint64_t wall_unix_ms() {
   return static_cast<std::uint64_t>(
       duration_cast<milliseconds>(system_clock::now().time_since_epoch())
           .count());
-}
-
-// Metric names are ASCII identifiers; stay correct for arbitrary input.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // Publishes the memory registry + process figures as tagnn.mem.*

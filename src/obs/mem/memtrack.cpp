@@ -13,6 +13,8 @@
 #include <unistd.h>
 #endif
 
+#include "common/json_escape.hpp"
+
 namespace tagnn::obs::mem {
 
 namespace {
@@ -26,39 +28,6 @@ std::mutex g_domain_mu;
 std::array<std::string, kMaxDomains>& domain_names() {
   static auto* names = new std::array<std::string, kMaxDomains>{};
   return *names;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/json_escape.hpp"
 #include "common/metrics_sink.hpp"
 #include "obs/jsonv.hpp"
 
@@ -134,41 +135,6 @@ const MetricValue* MetricsSnapshot::find(std::string_view name) const {
 
 namespace {
 
-// Minimal JSON string escaping (metric names are ASCII identifiers, but
-// stay correct for arbitrary input).
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // JSON has no Inf/NaN literals; write_json_number serialises non-finite
 // values as null and bumps obs::json_nonfinite_warnings().
 void write_number(std::ostream& os, double v) { write_json_number(os, v); }
@@ -186,7 +152,7 @@ void write_csv_number(std::ostream& os, double v) {
 
 void write_metric_json(std::ostream& os, const MetricValue& m,
                        const std::string& pad) {
-  os << pad << '"' << escape(m.name) << "\": {\"kind\": \""
+  os << pad << '"' << json_escape(m.name) << "\": {\"kind\": \""
      << to_string(m.kind) << "\"";
   switch (m.kind) {
     case MetricKind::kCounter:

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/json_escape.hpp"
+
 namespace tagnn::obs {
 namespace {
 
@@ -19,44 +21,11 @@ std::string format_us(double v) {
   return buf;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_args(std::ostream& os, const std::vector<TraceArg>& args) {
   os << "{";
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i) os << ",";
-    os << '"' << escape(args[i].key) << "\":" << args[i].value;
+    os << '"' << json_escape(args[i].key) << "\":" << args[i].value;
   }
   os << "}";
 }
@@ -151,7 +120,7 @@ void TraceCollector::write_json(std::ostream& os) const {
   for (const auto& [name, tid] : sim_tracks_) {
     sep();
     os << R"({"ph":"M","pid":2,"tid":)" << tid
-       << R"(,"name":"thread_name","args":{"name":")" << escape(name)
+       << R"(,"name":"thread_name","args":{"name":")" << json_escape(name)
        << "\"}}";
     sep();
     os << R"({"ph":"M","pid":2,"tid":)" << tid
@@ -162,8 +131,8 @@ void TraceCollector::write_json(std::ostream& os) const {
     sep();
     os << R"({"ph":"X","pid":)" << e.pid << R"(,"tid":)" << e.tid
        << R"(,"ts":)" << format_us(e.ts_us) << R"(,"dur":)"
-       << format_us(e.dur_us) << R"(,"cat":")" << escape(e.category)
-       << R"(","name":")" << escape(e.name) << R"(","args":)";
+       << format_us(e.dur_us) << R"(,"cat":")" << json_escape(e.category)
+       << R"(","name":")" << json_escape(e.name) << R"(","args":)";
     write_args(os, e.args);
     os << "}";
   }
@@ -171,7 +140,7 @@ void TraceCollector::write_json(std::ostream& os) const {
 }
 
 std::string TraceCollector::quote(const std::string& s) {
-  return "\"" + escape(s) + "\"";
+  return "\"" + json_escape(s) + "\"";
 }
 
 TraceCollector* TraceCollector::active() {

@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "obs/analyze/jparse.hpp"
@@ -119,29 +118,6 @@ bool parse_infer(std::string_view body, InferCommand* out,
     out->vertices.push_back(static_cast<VertexId>(e.as_number()));
   }
   return true;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string reply_json(const Reply& r) {

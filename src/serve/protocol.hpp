@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_escape.hpp"
 #include "common/types.hpp"
 
 namespace tagnn::serve {
@@ -87,7 +88,7 @@ bool parse_infer(std::string_view body, InferCommand* out,
 /// through obs::write_json_number, so rendering is deterministic.
 std::string reply_json(const Reply& r);
 
-/// Minimal JSON string escaping for protocol/SLO documents.
-std::string json_escape(std::string_view s);
+/// The shared escaper, under the name protocol/SLO emitters call.
+using tagnn::json_escape;
 
 }  // namespace tagnn::serve

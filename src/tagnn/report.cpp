@@ -1,9 +1,9 @@
 #include "tagnn/report.hpp"
 
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 
+#include "common/json_escape.hpp"
 #include "obs/jsonv.hpp"
 #include "sim/memory.hpp"
 #include "tensor/kernel_registry.hpp"
@@ -61,40 +61,6 @@ obs::analyze::MemDiagnosis diagnose_memory(const MemReportContext& mem) {
   in.budget_bytes = obs::analyze::mem_budget_bytes();
   in.snapshot = obs::mem::MemRegistry::global().snapshot();
   return obs::analyze::diagnose_memory(in);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream esc;
-          esc << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c);
-          out += esc.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 void write_json_report(std::ostream& os, const std::string& workload,

@@ -2,8 +2,8 @@
 //
 // Serialises an AccelResult (plus its configuration) as JSON so sweeps
 // driven through tools/tagnn_sim can be post-processed without parsing
-// human-oriented tables. The writer is self-contained (no JSON library
-// dependency) and escapes strings correctly.
+// human-oriented tables. The writer needs no JSON library; strings go
+// through the shared json_escape (common/json_escape.hpp).
 #pragma once
 
 #include <iosfwd>
@@ -63,8 +63,5 @@ void write_json_report(std::ostream& os, const std::string& workload,
 std::string json_report(const std::string& workload, const TagnnConfig& cfg,
                         const AccelResult& result,
                         const MemReportContext& mem = {});
-
-/// Escapes a string for embedding in JSON (quotes, control chars).
-std::string json_escape(const std::string& s);
 
 }  // namespace tagnn

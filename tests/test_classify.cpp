@@ -1,12 +1,18 @@
 // Tests for window classification and affected-subgraph extraction,
-// including the paper's Fig. 4 worked example.
+// including the paper's Fig. 4 worked example, and a sweep that checks
+// classify_window, unchanged_per_layer and build_window_plan against
+// the section 3.1 definitions at every window start of real traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "graph/affected_subgraph.hpp"
 #include "graph/classify.hpp"
 #include "graph/datasets.hpp"
+#include "graph/window_plan.hpp"
 
 namespace tagnn {
 namespace {
@@ -161,6 +167,183 @@ TEST(Classify, UnchangedLayerRequiresUnchangedNeighborhood) {
     for (VertexId u : s0.neighbors(v)) EXPECT_TRUE(layers[0][u]);
   }
 }
+
+TEST(Classify, WindowLengthOneFlagsOnlyAbsentVertices) {
+  // EP's vertex churn toggles presence even at this scale.
+  const DynamicGraph g = datasets::load("EP", 0.1, 5);
+  std::size_t absent = 0;
+  for (SnapshotId s = 0; s < g.num_snapshots(); ++s) {
+    const auto cls = classify_window(g, {s, 1});
+    // A one-snapshot window sees no change: only vertices absent at s
+    // are flagged.
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      const bool present = g.snapshot(s).present[v];
+      if (!present) ++absent;
+      EXPECT_EQ(cls.clazz[v], present ? VertexClass::kUnaffected
+                                      : VertexClass::kAffected)
+          << "s" << s << " v" << v;
+    }
+  }
+  EXPECT_GT(absent, 0u) << "the trace must have absent vertices";
+}
+
+// ---------- the definitions, at every window start ----------
+
+// Section 3.1's classes straight from the snapshots: every consecutive
+// snapshot pair compared in full, serially, with no shared first-snapshot
+// row and no early exit.
+WindowClassification classify_by_definition(const DynamicGraph& g,
+                                             Window w) {
+  const VertexId n = g.num_vertices();
+  WindowClassification cls;
+  cls.window = w;
+  cls.feature_stable.assign(n, true);
+  cls.topo_stable.assign(n, true);
+  for (VertexId v = 0; v < n; ++v) {
+    for (SnapshotId t = w.start; t < w.end(); ++t) {
+      const Snapshot& cur = g.snapshot(t);
+      if (!cur.present[v]) cls.feature_stable[v] = false;
+      if (t == w.start) continue;
+      const Snapshot& prev = g.snapshot(t - 1);
+      const auto fa = prev.features.row(v);
+      const auto fb = cur.features.row(v);
+      if (!std::equal(fa.begin(), fa.end(), fb.begin(), fb.end())) {
+        cls.feature_stable[v] = false;
+      }
+      const auto na = prev.graph.neighbors(v);
+      const auto nb = cur.graph.neighbors(v);
+      if (!std::equal(na.begin(), na.end(), nb.begin(), nb.end())) {
+        cls.topo_stable[v] = false;
+      }
+    }
+  }
+  cls.clazz.assign(n, VertexClass::kStable);
+  for (VertexId v = 0; v < n; ++v) {
+    if (!cls.feature_stable[v]) {
+      cls.clazz[v] = VertexClass::kAffected;
+      continue;
+    }
+    bool unaffected = cls.topo_stable[v];
+    for (VertexId u : g.snapshot(w.start).graph.neighbors(v)) {
+      unaffected = unaffected && cls.feature_stable[u];
+    }
+    if (unaffected) cls.clazz[v] = VertexClass::kUnaffected;
+  }
+  return cls;
+}
+
+// Layer 0 is the unaffected set; layer l keeps v iff v's topology is
+// fixed and v and all its neighbours were unchanged at layer l - 1.
+std::vector<std::vector<bool>> unchanged_by_definition(
+    const DynamicGraph& g, const WindowClassification& cls,
+    std::size_t layers) {
+  const VertexId n = g.num_vertices();
+  const CsrGraph& first = g.snapshot(cls.window.start).graph;
+  std::vector<std::vector<bool>> unchanged(layers,
+                                           std::vector<bool>(n, false));
+  for (VertexId v = 0; v < n; ++v) unchanged[0][v] = cls.is_unaffected(v);
+  for (std::size_t l = 1; l < layers; ++l) {
+    for (VertexId v = 0; v < n; ++v) {
+      bool keep = unchanged[l - 1][v] && cls.topo_stable[v];
+      for (VertexId u : first.neighbors(v)) {
+        keep = keep && unchanged[l - 1][u];
+      }
+      unchanged[l][v] = keep;
+    }
+  }
+  return unchanged;
+}
+
+void expect_same_classes(const WindowClassification& got,
+                         const WindowClassification& want) {
+  ASSERT_EQ(got.clazz.size(), want.clazz.size());
+  EXPECT_EQ(got.window.start, want.window.start);
+  EXPECT_EQ(got.window.length, want.window.length);
+  for (VertexId v = 0; v < got.clazz.size(); ++v) {
+    ASSERT_EQ(got.clazz[v], want.clazz[v])
+        << "start " << want.window.start << " v" << v;
+    ASSERT_EQ(got.feature_stable[v], want.feature_stable[v]) << "v" << v;
+    ASSERT_EQ(got.topo_stable[v], want.topo_stable[v]) << "v" << v;
+  }
+}
+
+class ClassifySweep
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+ protected:
+  void SetUp() override {
+    g_ = datasets::load(std::get<0>(GetParam()), 0.1, 8);
+    k_ = static_cast<SnapshotId>(std::get<1>(GetParam()));
+  }
+
+  DynamicGraph g_;
+  SnapshotId k_ = 0;
+};
+
+TEST_P(ClassifySweep, SlidingWindowsMatchDefinition) {
+  for (SnapshotId s = 0; s + k_ <= g_.num_snapshots(); ++s) {
+    expect_same_classes(classify_window(g_, {s, k_}),
+                        classify_by_definition(g_, {s, k_}));
+  }
+}
+
+TEST_P(ClassifySweep, UnchangedLayersMatchDefinition) {
+  constexpr std::size_t kLayers = 3;
+  for (SnapshotId s = 0; s + k_ <= g_.num_snapshots(); ++s) {
+    const Window w{s, k_};
+    const WindowClassification cls = classify_window(g_, w);
+    const auto got = unchanged_per_layer(g_, w, cls, kLayers);
+    const auto want = unchanged_by_definition(g_, cls, kLayers);
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      EXPECT_EQ(got[l], want[l]) << "start " << s << " layer " << l;
+    }
+  }
+}
+
+// The plan each engine step and the accelerator's cycle model consume:
+// its parts agree with the functions that define them.
+TEST_P(ClassifySweep, PlanMatchesItsParts) {
+  constexpr std::size_t kLayers = 2;
+  const VertexId n = g_.num_vertices();
+  for (SnapshotId s = 0; s + k_ <= g_.num_snapshots(); ++s) {
+    const Window w{s, k_};
+    const WindowPlan plan = build_window_plan(g_, w, /*reuse=*/true, kLayers);
+    expect_same_classes(plan.cls, classify_by_definition(g_, w));
+    const auto unchanged = unchanged_by_definition(g_, plan.cls, kLayers);
+    ASSERT_EQ(plan.unchanged_rows.size(), kLayers);
+    ASSERT_EQ(plan.changed_rows.size(), kLayers);
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      EXPECT_EQ(plan.unchanged[l], unchanged[l]) << "start " << s;
+      std::vector<VertexId> kept;
+      std::vector<VertexId> changed;
+      for (VertexId v = 0; v < n; ++v) {
+        (unchanged[l][v] ? kept : changed).push_back(v);
+      }
+      EXPECT_EQ(plan.unchanged_rows[l], kept) << "start " << s;
+      EXPECT_EQ(plan.changed_rows[l], changed) << "start " << s;
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      EXPECT_EQ(plan.sub.in_subgraph[v], !plan.cls.is_unaffected(v))
+          << "start " << s << " v" << v;
+    }
+    EXPECT_EQ(plan.sub.size(),
+              n - plan.cls.count(VertexClass::kUnaffected));
+    EXPECT_NO_THROW(plan.ocsr.validate());
+    std::size_t outside = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (!plan.ocsr.has_feature(v, s)) ++outside;
+    }
+    EXPECT_EQ(plan.outside_rows, outside) << "start " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DatasetsAndWindows, ClassifySweep,
+    ::testing::Combine(::testing::Values("HP", "GT", "ML", "EP"),
+                       ::testing::Values(2, 3, 4)),
+    [](const ::testing::TestParamInfo<ClassifySweep::ParamType>& info) {
+      return std::string(std::get<0>(info.param)) + "_k" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(Subgraph, CoversExactlyNonUnaffectedVertices) {
   const DynamicGraph g = datasets::load("EP", 0.1, 4);

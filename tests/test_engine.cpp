@@ -201,27 +201,6 @@ TEST(Gcn, AggregateVertexMeansClosedNeighborhood) {
   EXPECT_FLOAT_EQ(out[0], 0.0f);
 }
 
-TEST(Gcn, ComputeMaskLeavesOtherRowsUntouched) {
-  Snapshot snap;
-  snap.graph = CsrGraph::from_edges(4, {{0, 1}, {1, 0}, {2, 3}, {3, 2}});
-  snap.features = Matrix(4, 3);
-  snap.features.fill(1.0f);
-  snap.present.assign(4, true);
-  Rng rng(1);
-  const Matrix w = Matrix::random(3, 2, rng, 1.0f);
-  Matrix out(4, 2);
-  out.fill(-7.0f);
-  std::vector<bool> compute{true, false, true, false};
-  GcnForwardOptions opts;
-  opts.compute = &compute;
-  OpCounts counts;
-  gcn_layer_forward(snap, snap.features, w, opts, out, counts);
-  EXPECT_EQ(out(1, 0), -7.0f);
-  EXPECT_EQ(out(3, 1), -7.0f);
-  EXPECT_NE(out(0, 0), -7.0f);
-  EXPECT_EQ(counts.gnn_vertex_computed, 2u);
-}
-
 // The fused row-tile layer against the per-vertex path (aggregate_vertex
 // + ops::gemv + relu), bit for bit: d_out off the 16-wide register tile,
 // row lists of 1-9 rows (every partial tile), absent vertices, and an

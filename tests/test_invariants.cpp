@@ -1,8 +1,7 @@
 // Positive and corruption-negative tests for the structural invariant
-// checkers (validate()) of CSR, PMA, O-CSR, snapshot deltas, and the
-// incremental classifier. The negative tests corrupt private state via
-// TestPeer and assert validate() notices — proving the audits are not
-// vacuous.
+// checkers (validate()) of CSR, PMA, O-CSR and snapshot deltas. The
+// negative tests corrupt private state via TestPeer and assert
+// validate() notices — proving the audits are not vacuous.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +14,6 @@
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "graph/delta.hpp"
-#include "graph/incremental.hpp"
 #include "graph/ocsr.hpp"
 #include "graph/pma.hpp"
 
@@ -45,13 +43,6 @@ struct TestPeer {
   }
   static obs::mem::vec<std::uint32_t>& ocsr_slot_of(OCsr& o) {
     return o.slot_of_;
-  }
-
-  static std::vector<std::uint16_t>& inc_feat_cnt(IncrementalClassifier& c) {
-    return c.feat_cnt_;
-  }
-  static WindowClassification& inc_cls(IncrementalClassifier& c) {
-    return c.cls_;
   }
 };
 
@@ -270,53 +261,6 @@ TEST(DeltaInvariants, DetectsDeltaInconsistentWithSnapshots) {
   d.added_edges.clear();
   d.added_edges.emplace_back(u, v);
   EXPECT_THROW(d.validate(g.snapshot(0), g.snapshot(1)), std::logic_error);
-}
-
-// ---------- Incremental classifier ----------
-
-TEST(IncrementalInvariants, AdvanceValidates) {
-  const DynamicGraph g = datasets::load("GT", 0.15, 6);
-  IncrementalClassifier c(g, 3);
-  c.advance(0);
-  EXPECT_NO_THROW(c.validate());
-  c.advance(1);
-  EXPECT_NO_THROW(c.validate());
-}
-
-TEST(IncrementalInvariants, DetectsCounterCorruption) {
-  const DynamicGraph g = datasets::load("GT", 0.15, 6);
-  IncrementalClassifier c(g, 3);
-  const WindowClassification& cls = c.advance(0);
-  // Bump the feature counter of a feature-stable vertex without
-  // reclassifying: its published feature_stable bit is now stale.
-  VertexId victim = g.num_vertices();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (cls.feature_stable[v]) {
-      victim = v;
-      break;
-    }
-  }
-  ASSERT_LT(victim, g.num_vertices()) << "need a feature-stable vertex";
-  TestPeer::inc_feat_cnt(c)[victim] += 1;
-  EXPECT_THROW(c.validate(), std::logic_error);
-}
-
-TEST(IncrementalInvariants, DetectsClassCorruption) {
-  const DynamicGraph g = datasets::load("GT", 0.15, 6);
-  IncrementalClassifier c(g, 3);
-  c.advance(0);
-  auto& cls = TestPeer::inc_cls(c);
-  // Flip one vertex's class to a value its counters cannot justify.
-  bool flipped = false;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (cls.clazz[v] == VertexClass::kUnaffected) {
-      cls.clazz[v] = VertexClass::kAffected;
-      flipped = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(flipped) << "need an unaffected vertex to corrupt";
-  EXPECT_THROW(c.validate(), std::logic_error);
 }
 
 }  // namespace

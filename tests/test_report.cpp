@@ -1,8 +1,10 @@
-// Tests for the JSON run report and TagnnConfig validation.
+// Tests for the JSON run report, the shared JSON string escaper and
+// TagnnConfig validation.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
+#include "common/json_escape.hpp"
 #include "graph/datasets.hpp"
 #include "obs/analyze/jparse.hpp"
 #include "obs/jsonv.hpp"
@@ -17,6 +19,13 @@ TEST(JsonEscape, HandlesSpecialCharacters) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb"), "a\\nb");
   EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(json_escape("a\tb"), "a\\tb");
+  EXPECT_EQ(json_escape("a\rb"), "a\\rb");
+  EXPECT_EQ(json_escape(std::string("a\x1f") + "b"), "a\\u001fb");
+  // Multi-byte UTF-8 (two-, three- and four-byte sequences) passes
+  // through byte for byte: only ASCII control bytes are escaped.
+  EXPECT_EQ(json_escape("caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x93\x88"),
+            "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x93\x88");
 }
 
 TEST(Report, ContainsAllSections) {

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -381,6 +382,17 @@ TEST(ServeAdmission, OverloadedTenantCannotStarveAnother) {
       }
     }
   });
+  // Let the flood fill the victim's two-slot queue first: otherwise the
+  // other tenant's six requests can all finish before the victim ever
+  // sheds. The deadline turns a victim that never sheds into a failure.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (core.counters("victim").shed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(core.counters("victim").shed, 0u)
+      << "the victim did not shed within the deadline";
   // While the victim floods and sheds, the other tenant's requests are
   // admitted and answered.
   ASSERT_EQ(core.submit(ingest_req("other", 3)).status, Status::kOk);

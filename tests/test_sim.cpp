@@ -1,9 +1,8 @@
-// Tests for the simulator substrate: pipeline model, HBM model, energy
-// model, and the bounded FIFO.
+// Tests for the simulator substrate: pipeline model, HBM model and energy
+// model.
 #include <gtest/gtest.h>
 
 #include "sim/energy.hpp"
-#include "sim/fifo.hpp"
 #include "sim/memory.hpp"
 #include "sim/pipeline.hpp"
 
@@ -110,25 +109,6 @@ TEST(Energy, DramDominatesComputePerByte) {
   // Sanity on constants: moving a byte costs much more than a MAC.
   EnergyConfig cfg;
   EXPECT_GT(cfg.pj_per_dram_byte, 10 * cfg.pj_per_mac);
-}
-
-TEST(Fifo, PushPopOrder) {
-  Fifo<int> f(3);
-  EXPECT_TRUE(f.push(1));
-  EXPECT_TRUE(f.push(2));
-  EXPECT_TRUE(f.push(3));
-  EXPECT_TRUE(f.full());
-  EXPECT_FALSE(f.push(4));
-  EXPECT_EQ(f.pop(), 1);
-  EXPECT_EQ(f.front(), 2);
-  EXPECT_EQ(f.size(), 2u);
-  EXPECT_EQ(f.high_water(), 3u);
-  EXPECT_EQ(f.total_pushed(), 3u);
-}
-
-TEST(Fifo, PopEmptyThrows) {
-  Fifo<int> f(1);
-  EXPECT_THROW(f.pop(), std::logic_error);
 }
 
 }  // namespace

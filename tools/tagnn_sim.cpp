@@ -14,8 +14,8 @@
 //
 // --self-check raises the invariant-audit level to its maximum: every
 // loaded snapshot is validated up front and all dynamic structures
-// (PMA, O-CSR, deltas, incremental classifier) audit themselves after
-// every mutation for the whole run.
+// (PMA, O-CSR, deltas) audit themselves after every mutation for the
+// whole run.
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/json_escape.hpp"
 #include "graph/datasets.hpp"
 #include "graph/trace_io.hpp"
 #include "nn/engine.hpp"
