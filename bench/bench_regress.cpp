@@ -330,8 +330,7 @@ Entry bench_engine_live_sampler(const Options& o, int iters) {
       },
       iters);
   {
-    obs::live::LiveSampler sampler(
-        {/*interval_ms=*/50, /*ring_capacity=*/64});
+    obs::live::LiveSampler sampler(/*interval_ms=*/50);
     sampler.start();
     e.opt = bench::time_median(
         [&] { ConcurrentEngine(opts).run(wl.g, wl.w); }, iters);
@@ -364,8 +363,8 @@ void write_json(const Options& o, const std::vector<Entry>& entries) {
      << "  \"threads\": " << o.threads << ",\n  \"kernels\": {";
   const auto variants = kernels::registry().active_variants();
   for (std::size_t i = 0; i < variants.size(); ++i) {
-    os << (i == 0 ? "" : ", ") << '"' << variants[i].first << "\": \""
-       << variants[i].second << '"';
+    os << (i == 0 ? "" : ", ") << '"' << json_escape(variants[i].first)
+       << "\": \"" << json_escape(variants[i].second) << '"';
   }
   os << "},\n  \"entries\": [";
   for (std::size_t i = 0; i < entries.size(); ++i) {

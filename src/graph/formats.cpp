@@ -24,10 +24,8 @@ PmaWindowStore::PmaWindowStore(const DynamicGraph& g, Window window)
       pma_.insert_or_merge(edge_key(v, u), 1u);
     }
   }
-  std::uint32_t cumulative_mask = 1u;
   for (SnapshotId t = window.start + 1; t < window.end(); ++t) {
     const std::uint32_t bit = 1u << (t - window.start);
-    const SnapshotDelta d = diff_snapshots(g.snapshot(t - 1), g.snapshot(t));
     // Surviving edges inherit the new snapshot's bit; easiest exact way
     // is to re-mark the current snapshot's edges and rely on merge.
     // Removed edges simply stop accumulating bits (the PMA keeps the
@@ -38,10 +36,7 @@ PmaWindowStore::PmaWindowStore(const DynamicGraph& g, Window window)
         pma_.insert_or_merge(edge_key(v, u), bit);
       }
     }
-    cumulative_mask |= bit;
-    (void)d;  // delta computed to model the streaming-update cost
   }
-  (void)cumulative_mask;
 
   stats_.name = "PMA";
   stats_.structure_bytes = pma_.bytes();

@@ -32,8 +32,9 @@ struct FormatStats {
 };
 
 /// PMA-backed window store. Built by inserting snapshot `window.start`'s
-/// edges and then applying the deltas of each later snapshot, which
-/// exercises the PMA's rebalancing exactly like a streaming system.
+/// edges and then each later snapshot's edges under that snapshot's
+/// bit (new edges insert, surviving ones merge), which exercises the
+/// PMA's rebalancing like a streaming system.
 class PmaWindowStore {
  public:
   PmaWindowStore(const DynamicGraph& g, Window window);

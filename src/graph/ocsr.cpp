@@ -1,7 +1,6 @@
 #include "graph/ocsr.hpp"
 
 #include "common/check.hpp"
-#include "tensor/ops.hpp"
 
 namespace tagnn {
 
@@ -10,11 +9,7 @@ OCsr OCsr::build(const DynamicGraph& g, Window window,
                  const AffectedSubgraph& sub) {
   const VertexId n = g.num_vertices();
   const auto k = static_cast<std::size_t>(window.length);
-  const std::size_t dim = g.feature_dim();
 
-  // The deduped feature table (a Matrix) belongs to the O-CSR, not to
-  // generic tensor scratch; the index arrays carry fixed kOcsr tags.
-  obs::mem::MemScope mem_scope(obs::mem::Subsystem::kOcsr);
   OCsr o;
   o.window_ = window;
   o.sindex_.reserve(sub.size());
@@ -65,22 +60,8 @@ OCsr OCsr::build(const DynamicGraph& g, Window window,
     for (std::size_t e = 0; e < tgts.size(); ++e) require(tgts[e], ts[e]);
   }
 
-  // --- Materialise the rows. ---
-  o.features_ = Matrix(next_row, dim);
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint32_t shared = o.slot_of_[slot_index(v, k)];
-    if (shared != kNoSlot) {
-      copy(g.snapshot(window.start).features.row(v), o.features_.row(shared));
-    }
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const std::uint32_t s = o.slot_of_[slot_index(v, kk)];
-      if (s != kNoSlot) {
-        copy(g.snapshot(window.start + static_cast<SnapshotId>(kk))
-                 .features.row(v),
-             o.features_.row(s));
-      }
-    }
-  }
+  o.feature_rows_ = next_row;
+  o.feature_dim_ = g.feature_dim();
   TAGNN_CHECK_INVARIANTS(o);
   return o;
 }
@@ -118,11 +99,11 @@ void OCsr::validate() const {
   TAGNN_CHECK_MSG(k == 0 || slot_of_.size() % (k + 1) == 0,
                   "slot table size not a multiple of window span");
   auto used = obs::mem::tagged<bool>(obs::mem::Subsystem::kOcsr);
-  used.assign(features_.rows(), false);
+  used.assign(feature_rows_, false);
   for (std::size_t i = 0; i < slot_of_.size(); ++i) {
     const std::uint32_t s = slot_of_[i];
     if (s == kNoSlot) continue;
-    TAGNN_CHECK_MSG(s < features_.rows(),
+    TAGNN_CHECK_MSG(s < feature_rows_,
                     "slot " << s << " beyond feature table");
     TAGNN_CHECK_MSG(!used[s], "feature row " << s << " mapped twice");
     used[s] = true;
@@ -130,15 +111,6 @@ void OCsr::validate() const {
   for (std::size_t r = 0; r < used.size(); ++r) {
     TAGNN_CHECK_MSG(used[r], "feature row " << r << " unreferenced");
   }
-}
-
-std::uint32_t OCsr::feature_slot(VertexId v, SnapshotId t) const {
-  const auto k = static_cast<std::size_t>(window_.length);
-  const std::size_t base = static_cast<std::size_t>(v) * (k + 1);
-  const std::uint32_t shared = slot_of_[base + k];
-  if (shared != kNoSlot) return shared;
-  TAGNN_CHECK_MSG(window_.contains(t), "snapshot " << t << " outside window");
-  return slot_of_[base + (t - window_.start)];
 }
 
 bool OCsr::has_feature(VertexId v, SnapshotId t) const {
@@ -149,13 +121,6 @@ bool OCsr::has_feature(VertexId v, SnapshotId t) const {
   return slot_of_[base + (t - window_.start)] != kNoSlot;
 }
 
-std::span<const float> OCsr::feature(VertexId v, SnapshotId t) const {
-  const std::uint32_t s = feature_slot(v, t);
-  TAGNN_CHECK_MSG(s != kNoSlot,
-                  "no stored feature for vertex " << v << " @ " << t);
-  return features_.row(s);
-}
-
 std::size_t OCsr::structure_bytes() const {
   return sindex_.size() * sizeof(VertexId) +
          tindex_.size() * sizeof(VertexId) +
@@ -164,7 +129,7 @@ std::size_t OCsr::structure_bytes() const {
 }
 
 std::size_t OCsr::feature_bytes() const {
-  return features_.size() * sizeof(float);
+  return feature_rows_ * feature_dim_ * sizeof(float);
 }
 
 }  // namespace tagnn

@@ -10,6 +10,11 @@
 //   features   (Feature)   — one row per stored (vertex, snapshot);
 //                            feature-stable vertices are stored once.
 //
+// The Feature table is accounted, not copied: build() assigns every
+// needed (vertex, snapshot) its row slot and keeps the row count and
+// width, which is all the cycle model and the format comparison charge
+// (feature_bytes()). The engines read features from the snapshots.
+//
 // Space: 2|E_s| + (K*D + 2)|V_s| words, matching the paper's bound.
 #pragma once
 
@@ -19,7 +24,6 @@
 
 #include "graph/affected_subgraph.hpp"
 #include "obs/mem/memtrack.hpp"
-#include "tensor/matrix.hpp"
 
 namespace tagnn {
 
@@ -51,21 +55,17 @@ class OCsr {
 
   std::size_t total_edges() const { return tindex_.size(); }
 
-  /// Feature row of vertex v at snapshot t (a feature-stable vertex
-  /// resolves to its single shared row). v must be a subgraph vertex or
-  /// a neighbour of one.
-  std::span<const float> feature(VertexId v, SnapshotId t) const;
-
-  /// True iff the feature table holds a row for (v, t).
+  /// True iff the feature table holds a row for (v, t); a
+  /// feature-stable vertex's single shared row answers for every t.
   bool has_feature(VertexId v, SnapshotId t) const;
 
-  std::size_t num_feature_rows() const { return features_.rows(); }
-  std::size_t feature_dim() const { return features_.cols(); }
+  std::size_t num_feature_rows() const { return feature_rows_; }
+  std::size_t feature_dim() const { return feature_dim_; }
   Window window() const { return window_; }
 
   /// Structure bytes (sindex + tindex + timestamps + enum).
   std::size_t structure_bytes() const;
-  /// Feature bytes actually stored (after stable-row dedup).
+  /// Bytes of the feature table (after stable-row dedup).
   std::size_t feature_bytes() const;
   std::size_t bytes() const { return structure_bytes() + feature_bytes(); }
 
@@ -79,11 +79,8 @@ class OCsr {
 
  private:
   friend struct TestPeer;
-  std::uint32_t feature_slot(VertexId v, SnapshotId t) const;
 
-  // Index arrays are byte-accounted under kOcsr; features_ is a Matrix
-  // whose bytes land wherever the enclosing MemScope points (build()
-  // runs under MemScope(kOcsr)).
+  // Index arrays are byte-accounted under kOcsr.
   Window window_;
   obs::mem::vec<VertexId> sindex_ =
       obs::mem::tagged<VertexId>(obs::mem::Subsystem::kOcsr);
@@ -102,7 +99,8 @@ class OCsr {
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
   obs::mem::vec<std::uint32_t> slot_of_ =
       obs::mem::tagged<std::uint32_t>(obs::mem::Subsystem::kOcsr);
-  Matrix features_;
+  std::size_t feature_rows_ = 0;
+  std::size_t feature_dim_ = 0;
 };
 
 }  // namespace tagnn

@@ -1,33 +1,23 @@
 #include "graph/pma.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
 
 namespace tagnn {
 namespace {
 
-// Density bands: leaves may run nearly full / nearly empty; windows
-// closer to the root must stay in a narrower band (Bender et al.).
-// kLeafMax < 1.0 guarantees a rebalanced window always leaves a free
-// slot in every segment (see insert_or_merge).
+// Density bounds: leaves may run nearly full; windows closer to the
+// root must stay sparser (Bender et al.). kLeafMax < 1.0 guarantees a
+// rebalanced window always leaves a free slot in every segment (see
+// insert_or_merge).
 constexpr double kLeafMax = 0.98;
 constexpr double kRootMax = 0.70;
-constexpr double kLeafMin = 0.05;
-constexpr double kRootMin = 0.30;
 
 double max_density(std::size_t level, std::size_t height) {
   if (height == 0) return kRootMax;
   return kLeafMax -
          (kLeafMax - kRootMax) * static_cast<double>(level) /
-             static_cast<double>(height);
-}
-
-double min_density(std::size_t level, std::size_t height) {
-  if (height == 0) return kRootMin;
-  return kLeafMin +
-         (kRootMin - kLeafMin) * static_cast<double>(level) /
              static_cast<double>(height);
 }
 
@@ -100,17 +90,6 @@ void Pma::insert_into_segment(std::size_t seg, std::size_t pos,
   values_[base + pos] = value;
   seg_count_[seg] = cnt + 1;
   ++count_;
-}
-
-void Pma::erase_from_segment(std::size_t seg, std::size_t pos) {
-  const std::size_t base = seg * segment_size_;
-  const std::uint32_t cnt = seg_count_[seg];
-  for (std::size_t i = pos; i + 1 < cnt; ++i) {
-    keys_[base + i] = keys_[base + i + 1];
-    values_[base + i] = values_[base + i + 1];
-  }
-  seg_count_[seg] = cnt - 1;
-  --count_;
 }
 
 std::size_t Pma::window_count(std::size_t first_seg,
@@ -209,27 +188,6 @@ void Pma::rebalance_after_insert(std::size_t seg) {
   resize_segments(num_segments() * 2);
 }
 
-void Pma::rebalance_after_erase(std::size_t seg) {
-  const std::size_t height = log2_floor(num_segments());
-  std::size_t win = 1;
-  std::size_t first = seg;
-  for (std::size_t level = 0; level <= height; ++level) {
-    const double cap =
-        static_cast<double>(win) * static_cast<double>(segment_size_);
-    const double dens = static_cast<double>(window_count(first, win)) / cap;
-    if (dens >= min_density(level, height)) {
-      if (win > 1) redistribute(first, win);
-      return;
-    }
-    win *= 2;
-    first = (first / win) * win;
-    if (win > num_segments()) break;
-  }
-  if (num_segments() > 1) {
-    resize_segments(num_segments() / 2);
-  }
-}
-
 bool Pma::insert_or_merge(std::uint64_t key, std::uint32_t value) {
   std::size_t seg = find_segment(key);
   auto [pos, found] = find_in_segment(seg, key);
@@ -245,16 +203,6 @@ bool Pma::insert_or_merge(std::uint64_t key, std::uint32_t value) {
     TAGNN_CHECK(seg_count_[seg] < segment_size_);
   }
   insert_into_segment(seg, pos, key, value);
-  TAGNN_CHECK_INVARIANTS_AT(2, *this);
-  return true;
-}
-
-bool Pma::erase(std::uint64_t key) {
-  const std::size_t seg = find_segment(key);
-  const auto [pos, found] = find_in_segment(seg, key);
-  if (!found) return false;
-  erase_from_segment(seg, pos);
-  rebalance_after_erase(seg);
   TAGNN_CHECK_INVARIANTS_AT(2, *this);
   return true;
 }

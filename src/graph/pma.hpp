@@ -3,10 +3,12 @@
 //
 // This is a left-packed-segment PMA: the slot array is divided into
 // fixed-size segments; elements within a segment are sorted and packed
-// to the left, gaps live at segment tails. Inserts/erases that push a
-// window of segments outside its density band trigger an even
-// redistribution of that window; the whole array grows/shrinks by
-// doubling/halving. Amortised O(log^2 n) updates, ordered scans.
+// to the left, gaps live at segment tails. An insert that pushes a
+// window of segments over its density bound triggers an even
+// redistribution of that window; the whole array grows by doubling.
+// Amortised O(log^2 n) inserts, ordered scans. Insert-only: the window
+// store never removes an edge (a removed edge keeps its historical
+// snapshot bits).
 //
 // Keys are uint64 (callers encode (src << 32) | dst); each key carries a
 // uint32 payload (here: a bitmask of window snapshots containing the
@@ -29,9 +31,6 @@ class Pma {
   /// Inserts key with the given payload. If the key exists, ORs `value`
   /// into its payload. Returns true if the key was newly inserted.
   bool insert_or_merge(std::uint64_t key, std::uint32_t value);
-
-  /// Removes the key. Returns false if absent.
-  bool erase(std::uint64_t key);
 
   /// Payload lookup.
   std::optional<std::uint32_t> find(std::uint64_t key) const;
@@ -58,11 +57,8 @@ class Pma {
   /// accounting, strict global key order across packed prefixes, and the
   /// element count. Throws std::logic_error on violation. Runs
   /// automatically after rebalances at invariant level >= 1 and after
-  /// every insert/erase at level >= 2 (see common/check.hpp).
+  /// every insert at level >= 2 (see common/check.hpp).
   void validate() const;
-
-  /// Back-compat alias for validate(), kept for the property tests.
-  void check_invariants() const { validate(); }
 
  private:
   friend struct TestPeer;
@@ -74,12 +70,9 @@ class Pma {
                                                std::uint64_t key) const;
   void insert_into_segment(std::size_t seg, std::size_t pos,
                            std::uint64_t key, std::uint32_t value);
-  void erase_from_segment(std::size_t seg, std::size_t pos);
   // Rebalances the smallest window around `seg` whose density fits the
-  // level threshold; grows/shrinks the array when the root is out of
-  // band.
+  // level threshold; grows the array when the root is over-full.
   void rebalance_after_insert(std::size_t seg);
-  void rebalance_after_erase(std::size_t seg);
   void redistribute(std::size_t first_seg, std::size_t num_segs);
   void resize_segments(std::size_t new_num_segments);
   std::size_t window_count(std::size_t first_seg, std::size_t num_segs) const;

@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/condense.hpp"
 #include "tensor/kernel_registry.hpp"
 #include "tensor/ops.hpp"
 
@@ -298,35 +299,6 @@ void RnnCell::delta_update_rows(const Matrix& z,
       nv * static_cast<double>(h_ + cell_state_dim()) * 4.0;
   counts.delta_nnz += total_nnz;
   counts.rnn_delta += rows.size();
-}
-
-void RnnCell::delta_update(const CondensedVector& dx,
-                           const CondensedVector& dh,
-                           std::span<const float> h_prev,
-                           std::span<const float> c_prev,
-                           std::span<float> h_out, std::span<float> c_out,
-                           std::span<float> cache, OpCounts& counts) const {
-  TAGNN_CHECK(dx.dim == dz_ && dh.dim == h_);
-  TAGNN_CHECK(cache.size() == cache_dim());
-  const std::size_t gh = gates_ * h_;
-  const kernels::VecKernels vk = kernels::registry().vec();
-  for (std::size_t i = 0; i < dx.values.size(); ++i) {
-    vk.axpy(w_.rnn_wx.data() + dx.addresses[i] * gh, dx.values[i], gh,
-            cache.data());
-  }
-  float* hpart = kind_ == RnnKind::kLstm ? cache.data() : cache.data() + gh;
-  for (std::size_t i = 0; i < dh.values.size(); ++i) {
-    vk.axpy(w_.rnn_wh.data() + dh.addresses[i] * gh, dh.values[i], gh, hpart);
-  }
-  derive_outputs(h_prev, c_prev, cache, h_out, c_out);
-
-  const std::size_t nnz = dx.nnz() + dh.nnz();
-  counts.macs += static_cast<double>(nnz * gh);
-  counts.activations += static_cast<double>(gh + h_);
-  counts.feature_bytes += static_cast<double>(nnz + h_) * 4.0;
-  counts.output_bytes += static_cast<double>(h_ + cell_state_dim()) * 4.0;
-  counts.delta_nnz += static_cast<double>(nnz);
-  ++counts.rnn_delta;
 }
 
 }  // namespace tagnn

@@ -11,8 +11,6 @@
 #include <span>
 
 #include "common/types.hpp"
-#include "nn/condense.hpp"
-
 #include "nn/op_counts.hpp"
 #include "nn/weights.hpp"
 #include "tensor/matrix.hpp"
@@ -64,15 +62,6 @@ class RnnCell {
   /// and re-derives h/c. Both vectors are dense with zeros marking
   /// unchanged components. `cache` is updated in place.
   void delta_update(std::span<const float> dx, std::span<const float> dh,
-                    std::span<const float> h_prev,
-                    std::span<const float> c_prev, std::span<float> h_out,
-                    std::span<float> c_out, std::span<float> cache,
-                    OpCounts& counts) const;
-
-  /// Sparse variant: consumes Condense Unit outputs directly (packed
-  /// non-zero values + addresses), exactly as the hardware does.
-  /// Numerically identical to the dense variant (tested).
-  void delta_update(const CondensedVector& dx, const CondensedVector& dh,
                     std::span<const float> h_prev,
                     std::span<const float> c_prev, std::span<float> h_out,
                     std::span<float> c_out, std::span<float> cache,

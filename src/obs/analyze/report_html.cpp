@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/json_escape.hpp"
 #include "obs/jsonv.hpp"
 
 namespace tagnn::obs::analyze {
@@ -297,11 +298,11 @@ std::string data_block_json(const HtmlReportInputs& in,
     os << "null";
   }
   os << ",\n  \"ledger\": {\"entries\": " << in.ledger.size()
-     << ", \"sparkline_metric\": \"" << spark_metric
+     << ", \"sparkline_metric\": \"" << json_escape(spark_metric)
      << "\", \"drift\": [";
   for (std::size_t i = 0; i < in.drift.size(); ++i) {
     const DriftFinding& d = in.drift[i];
-    os << (i ? ", " : "") << "{\"metric\": \"" << d.metric
+    os << (i ? ", " : "") << "{\"metric\": \"" << json_escape(d.metric)
        << "\", \"value\": ";
     write_json_number(os, d.value);
     os << ", \"median\": ";

@@ -15,7 +15,7 @@ namespace tagnn::obs::live {
 
 LivePlane::LivePlane(LiveOptions opts)
     : opts_(std::move(opts)),
-      sampler_({opts_.interval_ms, opts_.ring_capacity}) {}
+      sampler_(opts_.interval_ms) {}
 
 LivePlane::~LivePlane() { stop(); }
 
@@ -46,7 +46,7 @@ bool LivePlane::start(std::string* error) {
       return on_snapshot();
     });
     server_.handle("/memory.json", [](const std::string&) {
-      // Fresh registry read (not the sampler ring): byte accounting is
+      // Fresh registry read (not the sampler's tick): byte accounting is
       // always on, so /memory.json works even with telemetry gated off.
       std::ostringstream os;
       mem::write_memory_json(os, mem::MemRegistry::global().snapshot(),
@@ -81,9 +81,9 @@ void LivePlane::stop() {
 HttpResponse LivePlane::on_metrics() {
   // Serve the sampler's latest tick so /metrics and /snapshot.json stay
   // consistent with each other; fall back to a direct scrape when the
-  // sampler is gated off (--no-telemetry) and the ring stays empty.
+  // sampler is gated off (--no-telemetry) and has no tick.
   LiveSample s;
-  if (!sampler_.ring().latest(&s)) {
+  if (!sampler_.latest(&s)) {
     s.snapshot = MetricsRegistry::global().snapshot();
   }
   return {200, kOpenMetricsContentType, to_openmetrics(s.snapshot, s.rates)};
@@ -92,7 +92,7 @@ HttpResponse LivePlane::on_metrics() {
 HttpResponse LivePlane::on_snapshot() {
   std::ostringstream os;
   LiveSample s;
-  if (sampler_.ring().latest(&s)) {
+  if (sampler_.latest(&s)) {
     os << s.json;
   } else {
     os << "{\"schema\": \"tagnn.live.v1\", \"seq\": 0, \"wall_unix_ms\": 0, "

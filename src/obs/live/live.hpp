@@ -5,7 +5,7 @@
 //
 // Endpoints (loopback only):
 //   /metrics        OpenMetrics text exposition of the latest sample
-//   /snapshot.json  the latest tagnn.live.v1 document (plus ring meta)
+//   /snapshot.json  the latest tagnn.live.v1 document
 //   /memory.json    tagnn.mem.v1: per-subsystem/domain byte accounting
 //                   plus process RSS (fresh read, works when telemetry
 //                   is gated off)
@@ -33,7 +33,6 @@ struct LiveOptions {
   /// negative = no server (sampler/recorder only).
   int port = -1;
   int interval_ms = 500;
-  std::size_t ring_capacity = 120;
   /// Non-empty: install the flight recorder onto this path.
   std::string flight_recorder_path;
   /// Announce the bound port on stderr (off in unit tests).

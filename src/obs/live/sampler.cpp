@@ -91,10 +91,7 @@ MemTick publish_mem_tick() {
 
 }  // namespace
 
-LiveSampler::LiveSampler() : LiveSampler(Options{}) {}
-
-LiveSampler::LiveSampler(Options opts)
-    : opts_(opts), ring_(opts.ring_capacity) {}
+LiveSampler::LiveSampler(int interval_ms) : interval_ms_(interval_ms) {}
 
 LiveSampler::~LiveSampler() { stop(); }
 
@@ -102,7 +99,7 @@ void LiveSampler::start() {
   if (!telemetry_enabled()) return;  // the whole plane is gated
   if (running_.exchange(true, std::memory_order_acq_rel)) return;
   start_mono_s_ = mono_seconds();
-  sample_once();  // the ring is never empty once the sampler is up
+  sample_once();  // latest() never fails once the sampler is up
   thread_ = std::thread([this] { run(); });
 }
 
@@ -122,7 +119,7 @@ void LiveSampler::stop() {
 
 void LiveSampler::run() {
   std::unique_lock<std::mutex> lock(stop_mu_);
-  const auto interval = std::chrono::milliseconds(opts_.interval_ms);
+  const auto interval = std::chrono::milliseconds(interval_ms_);
   while (!stop_requested_) {
     if (stop_cv_.wait_for(lock, interval, [this] { return stop_requested_; }))
       break;
@@ -209,8 +206,18 @@ void LiveSampler::sample_once() {
   LiveSample s = make_sample();
   FlightRecorder& fr = FlightRecorder::global();
   if (fr.installed()) fr.record_line(s.json);
-  ring_.push(std::move(s));
+  {
+    std::lock_guard<std::mutex> slot(latest_mu_);
+    latest_ = std::move(s);
+  }
   ticks_.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool LiveSampler::latest(LiveSample* out) const {
+  std::lock_guard<std::mutex> lock(latest_mu_);
+  if (latest_.seq == 0) return false;
+  *out = latest_;
+  return true;
 }
 
 }  // namespace tagnn::obs::live

@@ -1,10 +1,14 @@
 // Background sampler: snapshots the global MetricsRegistry at a fixed
-// interval into a LiveRing, computing reset-tolerant per-second rates
-// for every counter against the previous tick (obs::rate()).
+// interval, computing reset-tolerant per-second rates for every counter
+// against the previous tick (obs::rate()), and keeps the newest tick in
+// one mutex-guarded slot that the HTTP handlers read through latest().
+// That slot is the control plane, not a hot path: the engine's hot-path
+// writes go to MetricsRegistry's lock-free shards and never touch it.
 //
 // Each tick is also pre-rendered as one compact tagnn.live.v1 JSON
-// line and handed to the crash-time FlightRecorder (when installed), so
-// a signal handler never has to format anything.
+// line and handed to the crash-time FlightRecorder (when installed),
+// which keeps the recent history in its own slots, so a signal handler
+// never has to format anything.
 //
 // The sampler is part of the telemetry plane and sits behind the same
 // gate as the rest of it: start() is a no-op when telemetry is compiled
@@ -14,26 +18,39 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "obs/live/ring.hpp"
+#include "obs/metrics.hpp"
 
 namespace tagnn::obs::live {
 
+/// One sampler tick: a full registry snapshot plus the per-interval
+/// rates derived from the previous tick (reset-clamped, see
+/// obs::rate()). `json` is the compact single-line tagnn.live.v1
+/// document — pre-rendered so the crash-time flight recorder can dump
+/// it from a signal handler without formatting anything.
+struct LiveSample {
+  std::uint64_t seq = 0;        // 1-based tick number
+  std::uint64_t wall_unix_ms = 0;
+  double uptime_s = 0;          // monotonic seconds since sampler start
+  double interval_s = 0;        // measured gap to the previous tick
+  MetricsSnapshot snapshot;
+  /// Per-second rates for every counter (by metric name) and every
+  /// histogram's event count (name + ".count"); insertion order is the
+  /// snapshot's name order.
+  std::vector<std::pair<std::string, double>> rates;
+  std::string json;             // compact tagnn.live.v1 line (no '\n')
+};
+
 class LiveSampler {
  public:
-  struct Options {
-    int interval_ms = 500;
-    std::size_t ring_capacity = 120;  // 1 min of history at the default
-  };
-
-  LiveSampler();  // default Options
-  explicit LiveSampler(Options opts);
+  explicit LiveSampler(int interval_ms = 500);
   ~LiveSampler();
 
   LiveSampler(const LiveSampler&) = delete;
@@ -49,22 +66,24 @@ class LiveSampler {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  const LiveRing& ring() const { return ring_; }
+  /// Copies the newest tick into *out; false before the first tick.
+  bool latest(LiveSample* out) const;
   std::uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
-  int interval_ms() const { return opts_.interval_ms; }
+  int interval_ms() const { return interval_ms_; }
 
   /// Takes one sample synchronously on the caller's thread (used by the
   /// background loop; exposed so tests can drive the sampler without
-  /// timing dependence). Updates rate state, pushes to the ring, and
-  /// records the line with the flight recorder.
+  /// timing dependence). Updates rate state, replaces the newest tick,
+  /// and records the line with the flight recorder.
   void sample_once();
 
  private:
   void run();
   LiveSample make_sample();
 
-  const Options opts_;
-  LiveRing ring_;
+  const int interval_ms_;
+  mutable std::mutex latest_mu_;
+  LiveSample latest_;      // guarded by latest_mu_; seq 0 = no tick yet
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> ticks_{0};
 

@@ -1,6 +1,5 @@
 #include "sim/memory.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -24,49 +23,7 @@ Cycle HbmModel::transfer(double bytes, double sequential_fraction) {
   total_bytes_ += bytes;
   total_cycles_ += cycles;
   ++transactions_;
-  // Round-robin stripe across pseudo-channels.
-  if (channel_bytes_.size() != cfg_.channels) {
-    channel_bytes_.assign(cfg_.channels, 0.0);
-  }
-  for (std::size_t c = 0; c < cfg_.channels; ++c) {
-    channel_bytes_[c] += bytes / static_cast<double>(cfg_.channels);
-  }
   return cycles;
-}
-
-Cycle HbmModel::transfer_on_channel(std::size_t channel, double bytes,
-                                    double sequential_fraction) {
-  TAGNN_CHECK(channel < cfg_.channels);
-  if (bytes <= 0) return 0;
-  const double bpc = bytes_per_cycle(sequential_fraction) /
-                     static_cast<double>(cfg_.channels);
-  const double latency_cycles = cfg_.latency_ns * 1e-9 * cfg_.clock_mhz * 1e6;
-  const auto cycles = static_cast<Cycle>(
-      std::ceil(bytes / bpc + latency_cycles));
-  total_bytes_ += bytes;
-  total_cycles_ += cycles;
-  ++transactions_;
-  if (channel_bytes_.size() != cfg_.channels) {
-    channel_bytes_.assign(cfg_.channels, 0.0);
-  }
-  channel_bytes_[channel] += bytes;
-  return cycles;
-}
-
-double HbmModel::channel_bytes(std::size_t channel) const {
-  if (channel >= channel_bytes_.size()) return 0.0;
-  return channel_bytes_[channel];
-}
-
-double HbmModel::channel_imbalance() const {
-  if (channel_bytes_.empty() || total_bytes_ <= 0) return 1.0;
-  double mx = 0, sum = 0;
-  for (double b : channel_bytes_) {
-    mx = std::max(mx, b);
-    sum += b;
-  }
-  const double mean = sum / static_cast<double>(channel_bytes_.size());
-  return mean > 0 ? mx / mean : 1.0;
 }
 
 }  // namespace tagnn

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -19,11 +18,6 @@ struct HbmConfig {
   double random_efficiency = 0.5; // fraction of peak for scattered beats
   double latency_ns = 120.0;      // first-access latency per burst train
   double clock_mhz = 225.0;       // consumer clock for cycle conversion
-  /// Pseudo-channels the total bandwidth is striped across (the U280
-  /// exposes 32; 8 are wired to the loader in this design). Interleaved
-  /// transfers use every channel; a transfer pinned to one channel is
-  /// limited to bandwidth_gbps / channels.
-  std::size_t channels = 8;
 };
 
 class HbmModel {
@@ -33,19 +27,9 @@ class HbmModel {
   const HbmConfig& config() const { return cfg_; }
 
   /// Cycles (at cfg.clock_mhz) to move `bytes` with the given
-  /// sequential fraction, striped across all channels. Accumulates
-  /// totals and per-channel byte counters (round-robin interleave).
+  /// sequential fraction, interleaved across the whole stack (every
+  /// pseudo-channel carries an equal share). Accumulates the totals.
   Cycle transfer(double bytes, double sequential_fraction);
-
-  /// Same, but pinned to a single pseudo-channel (models a unit with a
-  /// private AXI port): throughput is 1/channels of the stack.
-  Cycle transfer_on_channel(std::size_t channel, double bytes,
-                            double sequential_fraction);
-
-  /// Bytes moved through one channel so far.
-  double channel_bytes(std::size_t channel) const;
-  /// max/mean per-channel load (1.0 = perfectly balanced).
-  double channel_imbalance() const;
 
   /// Effective bytes/cycle at the consumer clock for a given pattern.
   double bytes_per_cycle(double sequential_fraction) const;
@@ -55,7 +39,7 @@ class HbmModel {
 
   double total_bytes() const { return total_bytes_; }
   Cycle total_cycles() const { return total_cycles_; }
-  /// Number of transfer() / transfer_on_channel() burst trains served.
+  /// Number of transfer() burst trains served.
   std::size_t transactions() const { return transactions_; }
 
  private:
@@ -63,7 +47,6 @@ class HbmModel {
   double total_bytes_ = 0;
   Cycle total_cycles_ = 0;
   std::size_t transactions_ = 0;
-  std::vector<double> channel_bytes_;
 };
 
 }  // namespace tagnn

@@ -37,7 +37,8 @@ void spmm_mean_row(std::span<const EdgeId> offsets,
                    VertexId v, float* o);
 
 /// Row-at-a-time reference (the pre-blocking per-vertex path), kept for
-/// the equivalence tests and as the bench_regress baseline.
+/// the equivalence tests. (bench_regress's per-vertex baseline
+/// aggregates with aggregate_vertex, not this.)
 void spmm_mean_naive(std::span<const EdgeId> offsets,
                      std::span<const VertexId> neighbors,
                      const std::vector<bool>& present, const Matrix& x,

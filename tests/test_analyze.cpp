@@ -405,8 +405,12 @@ TEST(HtmlReport, SmokeWithAllSectionsAndValidDataBlock) {
   in.stacks.push_back(build_cycle_stack(ci));
   for (const double c : {1000.0, 1010.0, 990.0, 2000.0}) {
     in.ledger.push_back(make_record("w", c));
+    // Metric names come from the ledger file: a quote in one must not
+    // break the embedded JSON (it drifts, so it reaches both names).
+    in.ledger.back().set("lat\"ency", c);
   }
   in.drift = detect_drift(in.ledger);
+  in.sparkline_metric = "lat\"ency";
   in.trace_path = "trace.json";
 
   const std::string html = render_html_report(in);
@@ -437,6 +441,16 @@ TEST(HtmlReport, SmokeWithAllSectionsAndValidDataBlock) {
   JsonValue doc;
   ASSERT_TRUE(json_parse(data, &doc, &err)) << err;
   EXPECT_EQ(doc.string_at("schema"), "tagnn.report_html.v1");
+  const JsonValue* ledger = doc.find("ledger");
+  ASSERT_NE(ledger, nullptr);
+  EXPECT_EQ(ledger->string_at("sparkline_metric"), "lat\"ency");
+  const JsonValue* drift = ledger->find("drift");
+  ASSERT_NE(drift, nullptr);
+  bool quoted_drift = false;
+  for (const JsonValue& d : drift->as_array()) {
+    quoted_drift |= d.string_at("metric") == "lat\"ency";
+  }
+  EXPECT_TRUE(quoted_drift);
 }
 
 TEST(HtmlReport, EmptyInputsStillEmitAllSections) {

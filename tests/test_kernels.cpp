@@ -19,6 +19,7 @@
 #include "common/thread_pool.hpp"
 #include "graph/datasets.hpp"
 #include "nn/approx.hpp"
+#include "nn/condense.hpp"
 #include "nn/engine.hpp"
 #include "nn/gcn.hpp"
 #include "nn/quantize.hpp"

@@ -46,7 +46,6 @@ TEST(OCsr, StableVertexFeatureReadableAtAnySnapshot) {
     // Stable vertices resolve through the shared slot even for a
     // snapshot outside the window.
     EXPECT_TRUE(o.has_feature(v, 99));
-    EXPECT_NO_THROW(o.feature(v, 99));
     return;
   }
   GTEST_SKIP() << "no stable subgraph vertex in this draw";
@@ -63,6 +62,8 @@ TEST(OCsr, WindowAccessorsConsistent) {
   EXPECT_EQ(o.feature_dim(), g.feature_dim());
   EXPECT_GT(o.bytes(), 0u);
   EXPECT_EQ(o.bytes(), o.structure_bytes() + o.feature_bytes());
+  EXPECT_EQ(o.feature_bytes(),
+            o.num_feature_rows() * o.feature_dim() * sizeof(float));
 }
 
 TEST(Pma, ScanAtExtremes) {
@@ -76,16 +77,6 @@ TEST(Pma, ScanAtExtremes) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen.front(), 0u);
   EXPECT_EQ(seen.back(), ~0ull - 1);
-}
-
-TEST(Pma, EraseToEmptyAndReuse) {
-  Pma p(16);
-  for (std::uint64_t k = 0; k < 100; ++k) p.insert_or_merge(k, 1);
-  for (std::uint64_t k = 0; k < 100; ++k) EXPECT_TRUE(p.erase(k));
-  EXPECT_TRUE(p.empty());
-  p.check_invariants();
-  EXPECT_TRUE(p.insert_or_merge(42, 7));
-  EXPECT_EQ(p.find(42).value(), 7u);
 }
 
 TEST(Engine, ReferencePhaseSecondsPopulated) {

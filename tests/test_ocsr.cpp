@@ -68,17 +68,25 @@ TEST(OCsr, EdgesEnumerateEachSnapshotExactly) {
   }
 }
 
-TEST(OCsr, FeatureLookupMatchesSnapshots) {
+TEST(OCsr, FeatureTableCoversSubgraphAndNeighbours) {
   const Built b = build("GT", 0.2, 4);
+  // Every (vertex, snapshot) a subgraph row reads — its own feature and
+  // each edge target's — has a table row unless the vertex is absent;
+  // a feature-stable vertex answers through its shared row.
+  auto wanted = [&](VertexId v, SnapshotId t) {
+    return b.cls.feature_stable[v] || b.g.snapshot(t).present[v];
+  };
   for (std::size_t r = 0; r < b.ocsr.num_sources(); r += 5) {
     const VertexId v = b.ocsr.source(r);
     for (SnapshotId t = b.w.start; t < b.w.end(); ++t) {
-      if (!b.g.snapshot(t).present[v]) continue;
-      const auto got = b.ocsr.feature(v, t);
-      const auto want = b.g.snapshot(t).features.row(v);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
+      EXPECT_EQ(b.ocsr.has_feature(v, t), wanted(v, t))
           << "v" << v << " t" << t;
+    }
+    const auto tg = b.ocsr.targets(r);
+    const auto ts = b.ocsr.timestamps(r);
+    for (std::size_t e = 0; e < tg.size(); ++e) {
+      EXPECT_EQ(b.ocsr.has_feature(tg[e], ts[e]), wanted(tg[e], ts[e]))
+          << "u" << tg[e] << " t" << ts[e];
     }
   }
 }
@@ -123,15 +131,14 @@ TEST(OCsr, SpaceBoundHolds) {
   (void)neighbor_rows;
 }
 
-TEST(OCsr, MissingFeatureThrows) {
+TEST(OCsr, MissingFeatureIsAbsent) {
   const Built b = build("GT", 0.2, 3);
-  // A vertex that is unaffected and not adjacent to the subgraph has no
-  // stored row unless feature-stable (then it has the shared slot). Find
-  // an affected vertex and ask for a snapshot outside the window.
+  // A vertex that is not feature-stable has per-snapshot rows only, so
+  // a snapshot outside the window has none.
   for (std::size_t r = 0; r < b.ocsr.num_sources(); ++r) {
     const VertexId v = b.ocsr.source(r);
     if (!b.cls.feature_stable[v]) {
-      EXPECT_THROW(b.ocsr.feature(v, 99), std::logic_error);
+      EXPECT_FALSE(b.ocsr.has_feature(v, 99));
       return;
     }
   }

@@ -1,5 +1,4 @@
-// Tests for the ping-pong buffer model, the multi-channel HBM
-// extensions, and the text trace format.
+// Tests for the ping-pong buffer model and the text trace format.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,7 +6,6 @@
 #include "graph/datasets.hpp"
 #include "graph/trace_io.hpp"
 #include "sim/buffer.hpp"
-#include "sim/memory.hpp"
 
 namespace tagnn {
 namespace {
@@ -50,29 +48,6 @@ TEST(PingPong, AccountingTotals) {
   b.consume(70);
   EXPECT_EQ(b.total_produced(), 70u);
   EXPECT_EQ(b.total_consumed(), 70u);
-}
-
-TEST(HbmChannels, InterleavedTransferBalancesChannels) {
-  HbmModel m;
-  m.transfer(8000.0, 1.0);
-  EXPECT_NEAR(m.channel_bytes(0), 1000.0, 1e-9);
-  EXPECT_NEAR(m.channel_bytes(7), 1000.0, 1e-9);
-  EXPECT_NEAR(m.channel_imbalance(), 1.0, 1e-9);
-}
-
-TEST(HbmChannels, PinnedTransferIsSlowerAndSkewed) {
-  HbmModel a, b;
-  const Cycle striped = a.transfer(1 << 20, 1.0);
-  const Cycle pinned = b.transfer_on_channel(3, 1 << 20, 1.0);
-  EXPECT_GT(pinned, striped * 6);  // ~8x less bandwidth, minus latency
-  EXPECT_GT(b.channel_imbalance(), 7.0);
-  EXPECT_NEAR(b.channel_bytes(3), 1 << 20, 1e-6);
-  EXPECT_EQ(b.channel_bytes(0), 0.0);
-}
-
-TEST(HbmChannels, InvalidChannelThrows) {
-  HbmModel m;
-  EXPECT_THROW(m.transfer_on_channel(99, 100.0, 1.0), std::logic_error);
 }
 
 TEST(TextTrace, RoundTripPreservesGraph) {

@@ -226,8 +226,8 @@ int run_impl(const Options& o) {
         << "\",\n  \"kernels\": {";
       const auto variants = kernels::registry().active_variants();
       for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-        f << (vi == 0 ? "" : ", ") << '"' << variants[vi].first
-          << "\": \"" << variants[vi].second << '"';
+        f << (vi == 0 ? "" : ", ") << '"' << json_escape(variants[vi].first)
+          << "\": \"" << json_escape(variants[vi].second) << '"';
       }
       f << "},\n  \"macs\": " << c.macs
         << ",\n  \"bytes\": " << c.total_bytes()
