@@ -2,6 +2,8 @@
 // model.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/energy.hpp"
 #include "sim/memory.hpp"
 #include "sim/pipeline.hpp"
@@ -89,6 +91,43 @@ TEST(Hbm, AccumulatesTotals) {
 TEST(Hbm, ZeroBytesIsFree) {
   HbmModel m;
   EXPECT_EQ(m.transfer(0.0, 1.0), 0u);
+}
+
+TEST(Hbm, TransactionsCountOnlyNonEmptyTransfers) {
+  HbmModel m;
+  const Cycle a = m.transfer(1000.0, 1.0);
+  EXPECT_EQ(m.transfer(0.0, 1.0), 0u);
+  EXPECT_EQ(m.transfer(-64.0, 0.0), 0u);
+  const Cycle b = m.transfer(2000.0, 0.5);
+  EXPECT_EQ(m.transactions(), 2u);
+  EXPECT_DOUBLE_EQ(m.total_bytes(), 3000.0);
+  EXPECT_EQ(m.total_cycles(), a + b);
+}
+
+TEST(Hbm, LatencyChargedOncePerBurstTrain) {
+  // Every transfer is striped over the whole stack, so splitting one
+  // transfer in two costs the same streaming time plus one more latency.
+  const HbmConfig cfg;
+  const double latency_cycles = cfg.latency_ns * 1e-9 * cfg.clock_mhz * 1e6;
+  const double bytes = 1 << 20;
+  HbmModel one(cfg), two(cfg);
+  const Cycle whole = one.transfer(2 * bytes, 1.0);
+  const Cycle split = two.transfer(bytes, 1.0) + two.transfer(bytes, 1.0);
+  EXPECT_NEAR(static_cast<double>(whole),
+              2 * bytes / one.peak_bytes_per_cycle() + latency_cycles, 1.0);
+  EXPECT_NEAR(static_cast<double>(split - whole), latency_cycles, 2.0);
+  EXPECT_EQ(two.transactions(), 2u);
+}
+
+TEST(Hbm, SequentialFractionOutsideUnitRangeThrows) {
+  HbmModel m;
+  EXPECT_THROW(m.bytes_per_cycle(-0.1), std::logic_error);
+  EXPECT_THROW(m.bytes_per_cycle(1.5), std::logic_error);
+  EXPECT_THROW(m.transfer(100.0, 2.0), std::logic_error);
+  // A rejected transfer is not accounted.
+  EXPECT_EQ(m.transactions(), 0u);
+  EXPECT_DOUBLE_EQ(m.total_bytes(), 0.0);
+  EXPECT_EQ(m.total_cycles(), 0u);
 }
 
 TEST(Energy, ComponentsScaleWithCounts) {
