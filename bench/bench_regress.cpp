@@ -211,8 +211,8 @@ Entry bench_rnn_rows(const Options& o, int iters) {
     RnnBatchScratch ws;
     return bench::time_median(
         [&] {
-          cell.delta_update_rows(z, delta_rows, EngineOptions{}.delta_eps,
-                                 s.za, s.ha, s.h, s.c, s.cache, s.counts);
+          cell.delta_update_rows(z, delta_rows, kDeltaEps, s.za, s.ha, s.h,
+                                 s.c, s.cache, s.counts);
           cell.full_update_rows(z, full_rows, s.h, s.c, s.cache, ws,
                                 s.counts);
         },

@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the hot kernels and storage
-// formats: per-snapshot neighbour traversal under CSR / PMA / O-CSR,
-// GCN layer forward, RNN cell updates, PMA updates. These complement
-// the figure benches with real wall-clock numbers for the library
-// itself.
+// formats: per-snapshot neighbour traversal under CSR and PMA, GCN
+// layer forward, RNN cell updates, PMA updates, window classification
+// and telemetry counters. The O-CSR is a size model with no arrays to
+// walk (graph/ocsr.hpp). These complement the figure benches with real
+// wall-clock numbers for the library itself.
 #include <benchmark/benchmark.h>
 
 #include "graph/datasets.hpp"
@@ -17,9 +18,6 @@ namespace {
 struct FormatFixtures {
   DynamicGraph g = datasets::load("GT", 0.3, 4);
   Window w{0, 4};
-  WindowClassification cls = classify_window(g, w);
-  AffectedSubgraph sub = extract_affected_subgraph(g, w, cls);
-  OCsr ocsr = OCsr::build(g, w, cls, sub);
   PmaWindowStore pma{g, w};
 };
 
@@ -56,18 +54,6 @@ void BM_TraversePmaWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraversePmaWindow);
-
-void BM_TraverseOcsr(benchmark::State& state) {
-  auto& f = fixtures();
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (std::size_t r = 0; r < f.ocsr.num_sources(); ++r) {
-      for (VertexId u : f.ocsr.targets(r)) sum += u;
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-}
-BENCHMARK(BM_TraverseOcsr);
 
 void BM_GcnLayerForward(benchmark::State& state) {
   auto& f = fixtures();

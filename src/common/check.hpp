@@ -8,15 +8,14 @@
 //    TAGNN_DCHECK cache option in the top-level CMakeLists).
 //  * TAGNN_CHECK_INVARIANTS(obj) — runs obj.validate() when the runtime
 //    invariant level permits. Mutating operations on the dynamic graph
-//    structures (PMA, O-CSR, delta) call this so that debug/sanitizer
+//    structures (CSR, PMA, delta) call this so that debug/sanitizer
 //    builds audit every structure after every mutation, while release
 //    builds pay nothing.
 //
 // Invariant levels:
 //   0 — all audits off (release default);
-//   1 — audits at amortised-cheap points: window-level builds (O-CSR,
-//       delta), CSR construction, PMA rebalances
-//       (dcheck-build default);
+//   1 — audits at amortised-cheap points: snapshot deltas, CSR
+//       construction, PMA rebalances (dcheck-build default);
 //   2 — additionally audits after *every* PMA insert/erase — O(n) per
 //       update, for property tests and `tagnn_sim --self-check`.
 #pragma once

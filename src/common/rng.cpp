@@ -74,6 +74,4 @@ float Rng::normal() {
 
 bool Rng::chance(double p) { return next_double() < p; }
 
-Rng Rng::fork() { return Rng(next_u64()); }
-
 }  // namespace tagnn

@@ -32,9 +32,6 @@ class Rng {
   /// Bernoulli trial with probability p.
   bool chance(double p);
 
-  /// Derive an independent stream (for per-thread / per-snapshot use).
-  Rng fork();
-
  private:
   std::uint64_t s_[4];
 };

@@ -16,12 +16,6 @@ void dfs_from(const DynamicGraph& g, Window window,
     const VertexId v = stack.back();
     stack.pop_back();
     out.vertices.push_back(v);
-    out.in_subgraph[v] = true;
-    if (cls.clazz[v] == VertexClass::kStable) {
-      ++out.num_stable;
-    } else {
-      ++out.num_affected;
-    }
     // Union neighbourhood across the window; depth-first from each
     // affected/stable neighbour.
     for (SnapshotId t = window.start; t < window.end(); ++t) {
@@ -44,7 +38,6 @@ AffectedSubgraph extract_affected_subgraph(const DynamicGraph& g,
   TAGNN_CHECK(cls.clazz.size() == n);
 
   AffectedSubgraph out;
-  out.in_subgraph.assign(n, false);
   std::vector<bool> visited(n, false);
 
   // Phase 1: stable roots (the paper's cut vertices).

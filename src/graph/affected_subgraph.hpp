@@ -18,10 +18,6 @@ namespace tagnn {
 struct AffectedSubgraph {
   /// Stable + affected vertices, in DFS discovery order.
   std::vector<VertexId> vertices;
-  /// Per-vertex membership flag (size n).
-  std::vector<bool> in_subgraph;
-  std::size_t num_stable = 0;
-  std::size_t num_affected = 0;
 
   std::size_t size() const { return vertices.size(); }
 };

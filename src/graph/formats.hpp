@@ -6,8 +6,10 @@
 //             version change (TaGNN-PMA; GraSU-style);
 //   * O-CSR — affected subgraph only + stable features once (ours).
 //
-// Each store exposes byte accounting and a per-snapshot neighbour scan
-// so the traversal microbenchmark exercises real access patterns.
+// Each format reports its bytes as FormatStats. CSR is accounted from
+// the snapshots and the O-CSR from its size model (graph/ocsr.hpp);
+// the PMA store is really built, and its per-snapshot neighbour scan
+// is what the traversal microbenchmark walks.
 #pragma once
 
 #include <functional>

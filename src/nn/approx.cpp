@@ -12,6 +12,11 @@
 namespace tagnn {
 namespace {
 
+// TaGNN-AM: fixed-point fractional bits (values snapped to 2^-bits).
+constexpr int kAlstmBits = 2;
+// TaGNN-AS: relative error magnitude of the approximate multipliers.
+constexpr float kAtlasError = 0.08f;
+
 float quantize(float x, float step) { return std::round(x / step) * step; }
 
 // Shared skeleton: exact GNN stack per snapshot, then a per-vertex RNN
@@ -85,10 +90,8 @@ EngineResult run_with_approximation(const DynamicGraph& g,
       return ReferenceEngine().run(g, weights);
     }
     case ApproxMethod::kTagnn: {
-      EngineOptions eng;
-      eng.window_size = opts.window_size;
-      eng.thresholds = opts.tagnn_thresholds;
-      return ConcurrentEngine(eng).run(g, weights);
+      // The paper's window of 4 and default thresholds.
+      return ConcurrentEngine(EngineOptions{}).run(g, weights);
     }
     case ApproxMethod::kDeltaRnn: {
       // DeltaRNN state: last input / hidden values actually applied.
@@ -147,7 +150,7 @@ EngineResult run_with_approximation(const DynamicGraph& g,
     }
     case ApproxMethod::kAlstm: {
       const RnnCell cell(weights);
-      const float step = std::ldexp(1.0f, -opts.alstm_bits);
+      const float step = std::ldexp(1.0f, -kAlstmBits);
       auto update = [&](SnapshotId, VertexId v, const Matrix& z,
                         detail::RnnState& st, OpCounts& counts) {
         // Quantise inputs and recurrent state to the coarse grid before
@@ -167,18 +170,17 @@ EngineResult run_with_approximation(const DynamicGraph& g,
     }
     case ApproxMethod::kAtlas: {
       // Deterministic multiplier error pattern baked into the RNN
-      // weights (each product off by up to ±atlas_error), plus coarse
+      // weights (each product off by up to ±kAtlasError), plus coarse
       // accumulation via state quantisation.
       DgnnWeights wa = weights;
       Rng rng(0xA71A5);
       for (Matrix* m : {&wa.rnn_wx, &wa.rnn_wh}) {
         for (std::size_t i = 0; i < m->size(); ++i) {
-          m->data()[i] *= 1.0f + rng.uniform(-opts.atlas_error,
-                                             opts.atlas_error);
+          m->data()[i] *= 1.0f + rng.uniform(-kAtlasError, kAtlasError);
         }
       }
       const RnnCell cell(wa);
-      const float step = std::ldexp(1.0f, -(opts.alstm_bits + 2));
+      const float step = std::ldexp(1.0f, -(kAlstmBits + 2));
       auto update = [&](SnapshotId, VertexId v, const Matrix& z,
                         detail::RnnState& st, OpCounts& counts) {
         cell.full_update(z.row(v), st.h.row(v), st.c.row(v), st.h.row(v),

@@ -37,13 +37,6 @@ const char* to_string(ApproxMethod m);
 struct ApproxOptions {
   /// DeltaRNN per-element threshold.
   float delta_threshold = 0.35f;
-  /// ALSTM fixed-point fractional bits (values snapped to 2^-bits).
-  int alstm_bits = 2;
-  /// ATLAS multiplier relative error magnitude.
-  float atlas_error = 0.08f;
-  /// TaGNN thresholds.
-  SkipThresholds tagnn_thresholds{};
-  SnapshotId window_size = 4;
 };
 
 /// Runs DGNN inference with the chosen RNN approximation. Outputs are

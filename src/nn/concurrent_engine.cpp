@@ -350,7 +350,7 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
       // Unit thresholds the input and recurrent drift vs the last
       // applied values, and the tile's gate products, cache fold and
       // outputs follow while its rows are in cache.
-      cell.delta_update_rows(z, delta_rows, opts_.delta_eps, z_applied,
+      cell.delta_update_rows(z, delta_rows, kDeltaEps, z_applied,
                              h_applied, st.h, st.c, st.cache,
                              res.rnn_counts);
 

@@ -28,6 +28,9 @@
 
 namespace tagnn {
 
+/// Delta components with |d| <= kDeltaEps are condensed away.
+inline constexpr float kDeltaEps = 0.01f;
+
 struct EngineOptions {
   /// Snapshots per batch (the paper's sliding window; default 4).
   SnapshotId window_size = 4;
@@ -40,8 +43,6 @@ struct EngineOptions {
   /// state leaves its cold-start transient before any skipping; the
   /// paper's streams are hundreds of snapshots long, ours are short.
   SnapshotId skip_warmup_snapshots = 2;
-  /// Delta components with |d| <= delta_eps are condensed away.
-  float delta_eps = 0.01f;
   /// Keep every snapshot's final features in the result (memory-heavy
   /// for large graphs; benches that only need counts can disable).
   bool store_outputs = true;

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json_escape.hpp"
 #include "obs/jsonv.hpp"
 
 namespace tagnn::obs::analyze {
@@ -144,30 +145,24 @@ void write_cycle_stack_json(std::ostream& os, const CycleStack& s,
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const std::string in(static_cast<std::size_t>(indent) + 2, ' ');
   os << "{\n"
-     << in << "\"label\": \"" << s.label << "\",\n"
+     << in << "\"label\": \"" << json_escape(s.label) << "\",\n"
      << in << "\"total\": " << s.total << ",\n"
      << in << "\"components\": {";
   for (std::size_t i = 0; i < s.components.size(); ++i) {
     const CycleStackComponent& c = s.components[i];
-    os << (i ? ", " : "") << "\"" << c.name
+    os << (i ? ", " : "") << "\"" << json_escape(c.name)
        << "\": {\"busy\": " << c.busy
        << ", \"attributed\": " << c.attributed << ", \"share_pct\": ";
     write_json_number(os, c.share_pct);
     os << "}";
   }
   os << "},\n"
-     << in << "\"dominant\": \"" << s.dominant << "\",\n"
+     << in << "\"dominant\": \"" << json_escape(s.dominant) << "\",\n"
      << in << "\"dominant_pct\": ";
   write_json_number(os, s.dominant_pct);
   os << ",\n" << in << "\"hints\": [";
   for (std::size_t i = 0; i < s.hints.size(); ++i) {
-    std::string esc;
-    esc.reserve(s.hints[i].size());
-    for (const char ch : s.hints[i]) {
-      if (ch == '"' || ch == '\\') esc += '\\';
-      esc += ch;
-    }
-    os << (i ? ", " : "") << "\"" << esc << "\"";
+    os << (i ? ", " : "") << "\"" << json_escape(s.hints[i]) << "\"";
   }
   os << "]\n" << pad << "}";
 }

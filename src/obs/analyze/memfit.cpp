@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <ostream>
 
+#include "common/json_escape.hpp"
+
 namespace tagnn::obs::analyze {
 
 namespace {
@@ -12,10 +14,11 @@ using mem::Subsystem;
 
 // The topology stores grow with the edge stream; everything else is
 // dominated by per-vertex state (features, hidden states, tenant
-// engines). Ballast/untagged get a vertex basis for lack of better.
+// engines, the O-CSR's per-vertex feature-row table). Ballast/untagged
+// get a vertex basis for lack of better.
 bool edge_scaling(Subsystem s) {
   return s == Subsystem::kCsr || s == Subsystem::kPma ||
-         s == Subsystem::kOcsr || s == Subsystem::kDelta;
+         s == Subsystem::kDelta;
 }
 
 }  // namespace
@@ -98,15 +101,15 @@ void write_memory_diagnosis_json(std::ostream& os, const MemDiagnosis& d) {
      << ", \"observed_total_bytes\": " << d.observed_total_bytes
      << ", \"projected_total_bytes\": " << d.projected_total_bytes
      << ", \"over_budget\": " << (d.over_budget ? "true" : "false")
-     << ", \"first_over_budget\": \"" << d.first_over_budget
+     << ", \"first_over_budget\": \"" << json_escape(d.first_over_budget)
      << "\", \"subsystems\": [";
   bool first = true;
   for (const SubsystemFit& f : d.fits) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"subsystem\": \"" << f.subsystem
+    os << "{\"subsystem\": \"" << json_escape(f.subsystem)
        << "\", \"high_water_bytes\": " << f.high_water_bytes
-       << ", \"basis\": \"" << f.basis
+       << ", \"basis\": \"" << json_escape(f.basis)
        << "\", \"bytes_per_basis\": " << f.bytes_per_basis
        << ", \"projected_bytes\": " << f.projected_bytes << "}";
   }

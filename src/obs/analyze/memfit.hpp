@@ -42,7 +42,7 @@ struct MemFitInput {
 struct SubsystemFit {
   std::string subsystem;
   std::uint64_t high_water_bytes = 0;
-  // "edges" for the topology stores (csr/pma/ocsr/delta), "vertices"
+  // "edges" for the topology stores (csr/pma/delta), "vertices"
   // for everything else; empty when the basis count was zero (no fit).
   std::string basis;
   double bytes_per_basis = 0;

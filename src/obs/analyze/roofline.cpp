@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <ostream>
 
+#include "common/json_escape.hpp"
 #include "obs/jsonv.hpp"
 
 namespace tagnn::obs::analyze {
@@ -49,8 +50,8 @@ void write_roofline_json(std::ostream& os, const RooflineResult& r,
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const std::string in(static_cast<std::size_t>(indent) + 2, ' ');
   os << "{\n"
-     << in << "\"label\": \"" << r.label << "\",\n"
-     << in << "\"verdict\": \"" << r.verdict << "\",\n"
+     << in << "\"label\": \"" << json_escape(r.label) << "\",\n"
+     << in << "\"verdict\": \"" << json_escape(r.verdict) << "\",\n"
      << in << "\"arithmetic_intensity\": ";
   if (r.infinite_intensity) {
     os << "null";

@@ -54,7 +54,7 @@ enum class Subsystem : std::uint8_t {
   kUntagged = 0,  // tracked but unattributed (no tag, no scope)
   kCsr,           // CsrGraph offset/neighbor arrays
   kPma,           // packed-memory-array key/value/segment storage
-  kOcsr,          // O-CSR index/timestamp/enumeration arrays
+  kOcsr,          // O-CSR feature-row membership table
   kDelta,         // SnapshotDelta edge/feature change lists
   kFeatures,      // per-snapshot vertex feature matrices
   kTensor,        // Matrix buffers outside feature storage (weights,

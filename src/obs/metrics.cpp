@@ -461,11 +461,6 @@ void MetricsRegistry::reset() {
   }
 }
 
-std::size_t MetricsRegistry::num_metrics() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return by_name_.size();
-}
-
 MetricsRegistry& MetricsRegistry::global() {
   // Leaked on purpose: pool workers may record metrics while statics
   // are torn down; the registry must outlive every thread.

@@ -130,8 +130,6 @@ class MetricsRegistry {
   /// Zeroes every metric (names and handles stay valid).
   void reset();
 
-  std::size_t num_metrics() const;
-
   /// Process-wide registry. Intentionally leaked so worker threads may
   /// touch it during shutdown.
   static MetricsRegistry& global();

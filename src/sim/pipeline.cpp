@@ -48,11 +48,4 @@ std::vector<PipelineSim::StageStats> PipelineSim::stage_stats() const {
   return out;
 }
 
-double PipelineSim::bottleneck_utilization() const {
-  const Cycle total = total_cycles();
-  if (total == 0) return 0.0;
-  const Cycle worst = *std::max_element(busy_.begin(), busy_.end());
-  return static_cast<double>(worst) / static_cast<double>(total);
-}
-
 }  // namespace tagnn

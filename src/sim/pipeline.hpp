@@ -38,8 +38,6 @@ class PipelineSim {
   /// (total - busy); the per-stage stall attribution of Fig. 2(d).
   Cycle stage_stall(std::size_t s) const;
   const std::string& stage_name(std::size_t s) const { return names_[s]; }
-  /// Busy fraction of the bottleneck stage (1.0 = fully saturated).
-  double bottleneck_utilization() const;
 
   /// Per-stage busy/stall rollup for telemetry reports.
   struct StageStats {

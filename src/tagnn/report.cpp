@@ -1,7 +1,6 @@
 #include "tagnn/report.hpp"
 
 #include <ostream>
-#include <sstream>
 
 #include "common/json_escape.hpp"
 #include "obs/jsonv.hpp"
@@ -178,14 +177,6 @@ void write_json_report(std::ostream& os, const std::string& workload,
   os << "\n  },\n"
      << "  \"windows\": " << r.windows << "\n"
      << "}\n";
-}
-
-std::string json_report(const std::string& workload, const TagnnConfig& cfg,
-                        const AccelResult& result,
-                        const MemReportContext& mem) {
-  std::ostringstream os;
-  write_json_report(os, workload, cfg, result, mem);
-  return os.str();
 }
 
 }  // namespace tagnn

@@ -59,9 +59,4 @@ void write_json_report(std::ostream& os, const std::string& workload,
                        const TagnnConfig& cfg, const AccelResult& result,
                        const MemReportContext& mem = {});
 
-/// Convenience: returns the JSON as a string.
-std::string json_report(const std::string& workload, const TagnnConfig& cfg,
-                        const AccelResult& result,
-                        const MemReportContext& mem = {});
-
 }  // namespace tagnn

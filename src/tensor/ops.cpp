@@ -116,14 +116,4 @@ float max_abs_diff(const Matrix& a, const Matrix& b) {
   return m;
 }
 
-std::size_t count_diff(std::span<const float> a, std::span<const float> b,
-                       float tol) {
-  TAGNN_CHECK(a.size() == b.size());
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::fabs(a[i] - b[i]) > tol) ++n;
-  }
-  return n;
-}
-
 }  // namespace tagnn

@@ -91,8 +91,4 @@ float cosine_similarity(std::span<const float> a, std::span<const float> b);
 /// Max-absolute-difference between two equal-shaped matrices.
 float max_abs_diff(const Matrix& a, const Matrix& b);
 
-/// Number of entries with |a[i] - b[i]| > tol.
-std::size_t count_diff(std::span<const float> a, std::span<const float> b,
-                       float tol);
-
 }  // namespace tagnn

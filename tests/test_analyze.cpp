@@ -92,10 +92,18 @@ TEST(Roofline, JsonOutputValidates) {
   in.total_cycles = 500;
   in.peak_macs_per_cycle = 4;
   in.peak_bytes_per_cycle = 8;
+  // Both strings are free text once tagnn_report re-reads them from a
+  // report file.
+  in.label = "window \"0\"\n\\1";
+  RooflineResult r = analyze_roofline(in);
+  r.verdict = "tab\tquote\"";
   std::ostringstream os;
-  write_roofline_json(os, analyze_roofline(in));
+  write_roofline_json(os, r);
+  JsonValue v;
   std::string err;
-  EXPECT_TRUE(json_valid(os.str(), &err)) << err;
+  ASSERT_TRUE(json_parse(os.str(), &v, &err)) << err;
+  EXPECT_EQ(v.string_at("label"), in.label);
+  EXPECT_EQ(v.string_at("verdict"), r.verdict);
 }
 
 // --- cycle stacks -----------------------------------------------------
@@ -161,13 +169,24 @@ TEST(CycleStack, MemoryDominantProducesHbmHint) {
 
 TEST(CycleStack, JsonOutputValidates) {
   CycleStackInput in;
-  in.label = "run";
+  // The label reaches every hint; the dominant unit's name is both a
+  // key and the "dominant" value.
+  in.label = "run \"a\"\n\\b";
   in.total = 1000;
-  in.units = {{"msdl", 700}, {"gnn", 500}};
+  in.units = {{"msdl \"x\"\t", 700}, {"gnn", 500}};
   std::ostringstream os;
-  write_cycle_stack_json(os, build_cycle_stack(in));
+  const CycleStack stack = build_cycle_stack(in);
+  write_cycle_stack_json(os, stack);
+  JsonValue v;
   std::string err;
-  EXPECT_TRUE(json_valid(os.str(), &err)) << err;
+  ASSERT_TRUE(json_parse(os.str(), &v, &err)) << err;
+  EXPECT_EQ(v.string_at("label"), in.label);
+  EXPECT_EQ(v.string_at("dominant"), in.units[0].first);
+  const JsonValue* hints = v.find("hints");
+  ASSERT_NE(hints, nullptr);
+  ASSERT_EQ(hints->as_array().size(), stack.hints.size());
+  ASSERT_FALSE(stack.hints.empty());
+  EXPECT_EQ(hints->as_array()[0].as_string(), stack.hints[0]);
 }
 
 // --- jparse -----------------------------------------------------------

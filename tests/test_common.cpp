@@ -68,12 +68,6 @@ TEST(Rng, NormalHasUnitVarianceRoughly) {
   EXPECT_NEAR(s2 / n, 1.0, 0.05);
 }
 
-TEST(Rng, ForkProducesIndependentStream) {
-  Rng a(9);
-  Rng c = a.fork();
-  EXPECT_NE(a.next_u64(), c.next_u64());
-}
-
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> hits(10000);
   parallel_for(

@@ -1,5 +1,5 @@
 // Positive and corruption-negative tests for the structural invariant
-// checkers (validate()) of CSR, PMA, O-CSR and snapshot deltas. The
+// checkers (validate()) of CSR, PMA and snapshot deltas. The
 // negative tests corrupt private state via TestPeer and assert
 // validate() notices — proving the audits are not vacuous.
 #include <gtest/gtest.h>
@@ -10,11 +10,9 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "graph/classify.hpp"
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
 #include "graph/delta.hpp"
-#include "graph/ocsr.hpp"
 #include "graph/pma.hpp"
 
 namespace tagnn {
@@ -34,16 +32,6 @@ struct TestPeer {
     return p.seg_count_;
   }
   static std::size_t& pma_count(Pma& p) { return p.count_; }
-
-  static obs::mem::vec<std::uint32_t>& ocsr_enum_counts(OCsr& o) {
-    return o.enum_counts_;
-  }
-  static obs::mem::vec<SnapshotId>& ocsr_timestamps(OCsr& o) {
-    return o.timestamps_;
-  }
-  static obs::mem::vec<std::uint32_t>& ocsr_slot_of(OCsr& o) {
-    return o.slot_of_;
-  }
 };
 
 namespace {
@@ -152,74 +140,6 @@ TEST(PmaInvariants, DetectsOverfullSegment) {
   auto& cnt = TestPeer::pma_seg_count(p);
   cnt[0] = 9;  // segment_size is 8
   EXPECT_THROW(p.validate(), std::logic_error);
-}
-
-// ---------- O-CSR ----------
-
-struct BuiltOcsr {
-  DynamicGraph g;
-  Window w;
-  OCsr ocsr;
-};
-
-BuiltOcsr built_ocsr() {
-  DynamicGraph g = datasets::load("GT", 0.15, 4);
-  const Window w{0, 4};
-  const auto cls = classify_window(g, w);
-  const auto sub = extract_affected_subgraph(g, w, cls);
-  OCsr o = OCsr::build(g, w, cls, sub);
-  return {std::move(g), w, std::move(o)};
-}
-
-TEST(OcsrInvariants, FreshOcsrValidates) {
-  BuiltOcsr b = built_ocsr();
-  EXPECT_NO_THROW(b.ocsr.validate());
-}
-
-TEST(OcsrInvariants, DetectsEnumCountDrift) {
-  BuiltOcsr b = built_ocsr();
-  ASSERT_FALSE(TestPeer::ocsr_enum_counts(b.ocsr).empty());
-  TestPeer::ocsr_enum_counts(b.ocsr)[0] += 1;
-  EXPECT_THROW(b.ocsr.validate(), std::logic_error);
-}
-
-TEST(OcsrInvariants, DetectsTimestampOutsideWindow) {
-  BuiltOcsr b = built_ocsr();
-  ASSERT_FALSE(TestPeer::ocsr_timestamps(b.ocsr).empty());
-  TestPeer::ocsr_timestamps(b.ocsr)[0] = b.w.end() + 5;
-  EXPECT_THROW(b.ocsr.validate(), std::logic_error);
-}
-
-TEST(OcsrInvariants, DetectsAliasedFeatureSlot) {
-  BuiltOcsr b = built_ocsr();
-  auto& slots = TestPeer::ocsr_slot_of(b.ocsr);
-  // Point one live slot at another live slot's row: that row is now
-  // mapped twice and some row becomes unreferenced.
-  std::size_t first = slots.size(), second = slots.size();
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i] == static_cast<std::uint32_t>(-1)) continue;
-    if (first == slots.size()) {
-      first = i;
-    } else {
-      second = i;
-      break;
-    }
-  }
-  ASSERT_LT(second, slots.size()) << "need two live slots";
-  slots[second] = slots[first];
-  EXPECT_THROW(b.ocsr.validate(), std::logic_error);
-}
-
-TEST(OcsrInvariants, DetectsDanglingFeatureSlot) {
-  BuiltOcsr b = built_ocsr();
-  auto& slots = TestPeer::ocsr_slot_of(b.ocsr);
-  for (auto& s : slots) {
-    if (s != static_cast<std::uint32_t>(-1)) {
-      s = static_cast<std::uint32_t>(-1);  // its row is now unreferenced
-      break;
-    }
-  }
-  EXPECT_THROW(b.ocsr.validate(), std::logic_error);
 }
 
 // ---------- Snapshot delta ----------

@@ -336,6 +336,17 @@ TEST(MemFit, LinearProjectionNamesTheBiggestStructure) {
             std::string::npos);
 }
 
+TEST(MemFit, JsonEscapesItsStrings) {
+  // tagnn_report render re-emits these strings from its input file.
+  analyze::MemDiagnosis d;
+  d.first_over_budget = "a\"b";
+  d.fits.push_back({"c\\d", 1, "e\nf", 1.0, 1});
+  std::ostringstream os;
+  analyze::write_memory_diagnosis_json(os, d);
+  std::string err;
+  EXPECT_TRUE(tagnn::obs::json_valid(os.str(), &err)) << err;
+}
+
 TEST(MemFit, UnknownShapeYieldsNoFit) {
   const analyze::MemDiagnosis d = analyze::diagnose_memory({});
   EXPECT_FALSE(d.has_fit);

@@ -40,8 +40,7 @@ TEST(OCsr, StableVertexFeatureReadableAtAnySnapshot) {
   const auto cls = classify_window(g, w);
   const auto sub = extract_affected_subgraph(g, w, cls);
   const OCsr o = OCsr::build(g, w, cls, sub);
-  for (std::size_t r = 0; r < o.num_sources(); ++r) {
-    const VertexId v = o.source(r);
+  for (VertexId v : sub.vertices) {
     if (!cls.feature_stable[v]) continue;
     // Stable vertices resolve through the shared slot even for a
     // snapshot outside the window.

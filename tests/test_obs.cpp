@@ -340,7 +340,9 @@ TEST(Report, UtilizationSectionPresentAndConsistent) {
       DgnnWeights::init(ModelConfig::preset("T-GCN"), g.feature_dim(), 1);
   TagnnConfig cfg;
   const AccelResult r = TagnnAccelerator(cfg).run(g, w);
-  const std::string j = json_report("GT/T-GCN", cfg, r);
+  std::ostringstream os;
+  write_json_report(os, "GT/T-GCN", cfg, r);
+  const std::string j = os.str();
   for (const char* key :
        {"\"utilization\"", "\"mac_occupancy\"", "\"hbm_bw_occupancy\"",
         "\"units\"", "\"classify_stages\"", "\"traverse_stages\"",

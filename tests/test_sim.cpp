@@ -24,7 +24,7 @@ TEST(Pipeline, SteadyStateThroughputBoundedByBottleneck) {
   for (int i = 0; i < n; ++i) p.feed({1, 5, 1});
   // Warmup (1+5+1) + (n-1) * bottleneck(5).
   EXPECT_EQ(p.total_cycles(), 7u + (n - 1) * 5u);
-  EXPECT_GT(p.bottleneck_utilization(), 0.95);
+  EXPECT_GT(static_cast<double>(p.stage_busy(1)) / p.total_cycles(), 0.95);
 }
 
 TEST(Pipeline, UniformStagesFullyOverlap) {

@@ -109,7 +109,16 @@ telemetry_smoke() {
   grep -q 'id="report-data"' "$smoke_dir/report.html" || return 1
   if command -v python3 > /dev/null 2>&1; then
     python3 -m json.tool "$smoke_dir/metrics.json" > /dev/null &&
-    python3 -m json.tool "$smoke_dir/trace.json" > /dev/null || return 1
+    python3 -m json.tool "$smoke_dir/trace.json" > /dev/null &&
+    python3 - "$smoke_dir/report.html" <<'EOF' || return 1
+import json, re, sys
+html = open(sys.argv[1], encoding="utf-8").read()
+m = re.search(r'<script type="application/json" id="report-data">(.*?)</script>',
+              html, re.S)
+if not m:
+    sys.exit("report.html: no report-data block")
+json.loads(m.group(1))
+EOF
   fi
   [ "$cleanup" -eq 1 ] && rm -rf "$smoke_dir"
   return 0
