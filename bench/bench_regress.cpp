@@ -25,7 +25,6 @@
 #include "obs/analyze/ledger.hpp"
 #include "obs/live/sampler.hpp"
 #include "obs/mem/memtrack.hpp"
-#include "obs/telemetry.hpp"
 #include "nn/gcn.hpp"
 #include "nn/rnn.hpp"
 #include "tagnn/accelerator.hpp"
@@ -340,19 +339,15 @@ Entry bench_engine_live_sampler(const Options& o, int iters) {
   e.bytes = counts.feature_bytes + counts.weight_bytes +
             counts.structure_bytes + counts.output_bytes;
 
-  if (obs::telemetry_enabled()) {  // compiled-out telemetry: nothing to gate
-    const double overhead =
-        e.naive.median_sec > 0
-            ? e.opt.median_sec / e.naive.median_sec - 1.0
-            : 0.0;
-    const double slack =
-        3.0 * std::max(e.naive.mad_frac, e.opt.mad_frac);
-    TAGNN_CHECK_MSG(
-        overhead <= 0.01 + slack,
-        "live sampler overhead " << 100.0 * overhead
-            << "% exceeds the 1% budget (noise allowance "
-            << 100.0 * slack << "%)");
-  }
+  const double overhead =
+      e.naive.median_sec > 0 ? e.opt.median_sec / e.naive.median_sec - 1.0
+                             : 0.0;
+  const double slack = 3.0 * std::max(e.naive.mad_frac, e.opt.mad_frac);
+  TAGNN_CHECK_MSG(overhead <= 0.01 + slack,
+                  "live sampler overhead "
+                      << 100.0 * overhead
+                      << "% exceeds the 1% budget (noise allowance "
+                      << 100.0 * slack << "%)");
   return e;
 }
 

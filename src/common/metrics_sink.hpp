@@ -23,8 +23,8 @@ class MetricsSink {
  public:
   virtual ~MetricsSink() = default;
 
-  /// False when telemetry is compiled out or switched off at runtime;
-  /// callers should skip resolve/record work entirely in that case.
+  /// False when telemetry is switched off; callers should skip
+  /// resolve/record work entirely in that case.
   virtual bool enabled() const = 0;
 
   // Handle resolution (get-or-create by name; stable for the process

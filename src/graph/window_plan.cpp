@@ -8,13 +8,12 @@ WindowPlan build_window_plan(const DynamicGraph& g, Window w, bool reuse,
   p.cls = classify_window(g, w);
   const VertexId n = g.num_vertices();
   if (reuse) {
-    p.unchanged = unchanged_per_layer(g, w, p.cls, layers);
+    const auto unchanged = unchanged_per_layer(g, w, p.cls, layers);
     p.changed_rows.resize(layers);
     p.unchanged_rows.resize(layers);
     for (std::size_t l = 0; l < layers; ++l) {
       for (VertexId v = 0; v < n; ++v) {
-        (p.unchanged[l][v] ? p.unchanged_rows : p.changed_rows)[l]
-            .push_back(v);
+        (unchanged[l][v] ? p.unchanged_rows : p.changed_rows)[l].push_back(v);
       }
     }
   }

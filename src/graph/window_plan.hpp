@@ -17,10 +17,9 @@ namespace tagnn {
 
 struct WindowPlan {
   WindowClassification cls;
-  /// unchanged_per_layer() masks; empty unless built with `reuse`.
-  std::vector<std::vector<bool>> unchanged;
-  /// The same per-layer sets as ascending row lists, so consumers visit
-  /// exactly the rows they need instead of re-scanning an n-wide mask.
+  /// Each layer's unchanged_per_layer() set as two ascending row lists,
+  /// the rows that change and the rows that do not, so consumers visit
+  /// exactly the rows they need; empty unless built with `reuse`.
   std::vector<std::vector<VertexId>> changed_rows;
   std::vector<std::vector<VertexId>> unchanged_rows;
   AffectedSubgraph sub;

@@ -7,7 +7,8 @@
 //      (load phase);
 //   3. run the GCN stack over all K snapshots, computing unchanged
 //      vertices only at the window's first snapshot and copying their
-//      rows elsewhere (gnn phase);
+//      rows elsewhere, and charge its feature traffic in closed form
+//      from the plan's set sizes (gnn phase);
 //   4. run the RNN with similarity-aware cell skipping (rnn phase).
 //
 // With opts_.pipeline_windows the overhead phase of window i+1 runs on
@@ -18,7 +19,6 @@
 // plan hook runs right after each plan is built, on the same thread.
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <future>
 #include <vector>
@@ -57,83 +57,35 @@ TimedPlan plan_window(const DynamicGraph& g, Window w, bool gnn_reuse,
 }
 
 // Charges the feature traffic of one GCN layer over one snapshot under
-// the O-CSR streaming model: rows whose content is window-stable at
-// this layer are fetched once per window (window_seen), other rows once
-// per snapshot; repeated gathers hit the on-chip buffer. A per-snapshot
-// charge of a row equal to the previous snapshot's (`prev_in`) is the
-// residual redundancy TaGNN-S still pays (Fig. 8(b)).
-//
-// The touched set — the gathering rows (all rows when `compute_rows` is
-// null) and their neighbours — is marked in one bitmap per slice of the
-// row list, so no two threads write the same word. A second pass over
-// vertex words ORs the slices and counts with per-chunk integer sums;
-// each window_seen byte is written only by the chunk that owns its
-// word. The counts are set sizes, so they do not depend on the slicing
-// or the thread count.
-struct TrafficScratch {
-  std::vector<std::uint8_t> window_seen;  // per layer, one byte per row
-  std::vector<std::uint64_t> slices;      // kMaxSlices bitmaps of n bits
-};
-
-constexpr std::size_t kMaxSlices = 8;
-constexpr std::size_t kRowsPerSlice = 256;
-
-void charge_concurrent_traffic(const Snapshot& snap,
-                               const std::vector<VertexId>* compute_rows,
-                               const std::vector<bool>& stable_row,
+// the O-CSR streaming model (paper section 3.1): a row whose layer input
+// is window-stable is fetched once per window, any other row once per
+// snapshot; repeated gathers hit the on-chip buffer. So the window's
+// first snapshot fetches all n rows, and a later one fetches exactly the
+// `unstable` rows: the affected vertices at layer 0, the previous layer's
+// changed rows deeper. Both sets lie inside the rows the layer recomputes
+// (an affected vertex is never unaffected, and unchanged sets shrink with
+// depth), so each is gathered; the stable rows it gathers are already on
+// chip. A fetch of a row equal to the previous snapshot's (`prev_in`,
+// null unless counting redundancy past the first snapshot) is the
+// residual redundancy TaGNN-S still pays (Fig. 8(b)); counting it is the
+// only pass that visits rows.
+void charge_concurrent_traffic(bool first_snapshot,
+                               const std::vector<VertexId>& unstable,
                                const Matrix& in, const Matrix* prev_in,
-                               TrafficScratch& ts, OpCounts& counts) {
-  const VertexId n = snap.num_vertices();
-  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
-  std::size_t slices = 0;
-  if (compute_rows != nullptr) {
-    const std::vector<VertexId>& rows = *compute_rows;
-    slices = std::clamp<std::size_t>(rows.size() / kRowsPerSlice, 1,
-                                     kMaxSlices);
-    ts.slices.resize(kMaxSlices * words);
-    parallel_for(0, slices, [&](std::size_t s0, std::size_t s1) {
-      for (std::size_t s = s0; s < s1; ++s) {
-        std::uint64_t* bits = ts.slices.data() + s * words;
-        std::fill(bits, bits + words, 0);
-        auto mark = [bits](VertexId u) { bits[u / 64] |= 1ull << (u % 64); };
-        const std::size_t i1 = rows.size() * (s + 1) / slices;
-        for (std::size_t i = rows.size() * s / slices; i < i1; ++i) {
-          mark(rows[i]);
-          for (const VertexId u : snap.graph.neighbors(rows[i])) mark(u);
-        }
+                               OpCounts& counts) {
+  const std::size_t fetched = first_snapshot ? in.rows() : unstable.size();
+  std::atomic<std::size_t> redundant{0};
+  if (prev_in != nullptr) {
+    parallel_for(0, unstable.size(), [&](std::size_t i0, std::size_t i1) {
+      std::size_t same = 0;
+      for (std::size_t i = i0; i < i1; ++i) {
+        same += detail::rows_equal(in, *prev_in, unstable[i]);
       }
-    }, /*serial_threshold=*/1);
+      redundant += same;
+    }, /*serial_threshold=*/1024);
   }
-  std::atomic<std::size_t> fetched{0}, redundant{0};
-  parallel_for(0, words, [&](std::size_t w0, std::size_t w1) {
-    std::size_t rows = 0, same = 0;
-    for (std::size_t w = w0; w < w1; ++w) {
-      std::uint64_t touched = compute_rows == nullptr ? ~0ull : 0;
-      for (std::size_t s = 0; s < slices; ++s) {
-        touched |= ts.slices[s * words + w];
-      }
-      if (w + 1 == words && n % 64 != 0) touched &= (1ull << (n % 64)) - 1;
-      for (; touched != 0; touched &= touched - 1) {
-        const auto u =
-            static_cast<VertexId>(w * 64 + std::countr_zero(touched));
-        if (stable_row[u]) {
-          if (ts.window_seen[u] == 0) {
-            ts.window_seen[u] = 1;
-            ++rows;
-          }
-        } else {
-          ++rows;
-          if (prev_in != nullptr && detail::rows_equal(in, *prev_in, u)) {
-            ++same;
-          }
-        }
-      }
-    }
-    fetched += rows;
-    redundant += same;
-  }, /*serial_threshold=*/16);
   const auto d_in = static_cast<double>(in.cols());
-  counts.feature_bytes += static_cast<double>(fetched.load()) * d_in * 4.0;
+  counts.feature_bytes += static_cast<double>(fetched) * d_in * 4.0;
   counts.redundant_bytes += static_cast<double>(redundant.load()) * d_in * 4.0;
 }
 
@@ -171,10 +123,10 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
   GcnScratch scratch;
   RnnBatchScratch rnn_ws;
   // Scratch reused across windows so the steady-state loop allocates
-  // nothing per (layer, snapshot): layer activations, traffic bitmaps,
+  // nothing per (layer, snapshot): layer activations, the affected rows,
   // and the RNN mode/partition buffers.
   std::vector<Matrix> cur(opts_.window_size), nxt(opts_.window_size);
-  TrafficScratch traffic;
+  std::vector<VertexId> affected;
   constexpr std::uint8_t kAbsent = 255;
   std::vector<std::uint8_t> mode(n);
   std::vector<VertexId> full_rows, delta_rows;
@@ -225,8 +177,14 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
     // ---- GNN phase over all K snapshots, layer by layer. ----
     obs::ScopedTimer t_gnn(&res.seconds.gnn, "concurrent.gnn", "engine",
                            "tagnn.engine.gnn_seconds");
+    // Layer 0's unstable rows (see charge_concurrent_traffic).
+    affected.clear();
+    if (opts_.gnn_reuse) {
+      for (const VertexId v : plan.changed_rows[0]) {
+        if (!cls.feature_stable[v]) affected.push_back(v);
+      }
+    }
     for (std::size_t l = 0; l < layers; ++l) {
-      traffic.window_seen.assign(n, 0);
       for (std::size_t tk = 0; tk < k; ++tk) {
         const SnapshotId t = w.start + static_cast<SnapshotId>(tk);
         const Snapshot& snap = g.snapshot(t);
@@ -237,14 +195,11 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
         // With reuse on, traffic is charged by the O-CSR streaming
         // model below instead of per-gather inside the layer.
         fwd.count_feature_traffic = !opts_.gnn_reuse;
-        const std::vector<VertexId>* compute_rows = nullptr;
-        if (opts_.gnn_reuse && tk > 0) {
-          compute_rows = &plan.changed_rows[l];
-          fwd.compute_rows = compute_rows;
-        }
+        if (opts_.gnn_reuse && tk > 0) fwd.compute_rows = &plan.changed_rows[l];
         gcn_layer_forward(snap, in, weights.gnn[l], fwd, nxt[tk],
                           res.gnn_counts);
-        if (opts_.gnn_reuse && tk > 0) {
+        if (!opts_.gnn_reuse) continue;
+        if (tk > 0) {
           // Copy window-unchanged rows from the first snapshot.
           const std::vector<VertexId>& keep = plan.unchanged_rows[l];
           parallel_for(0, keep.size(), [&](std::size_t r0, std::size_t r1) {
@@ -254,16 +209,13 @@ EngineResult ConcurrentEngine::run(const DynamicGraph& g,
           }, /*serial_threshold=*/512);
           res.gnn_counts.gnn_vertex_reused += keep.size();
         }
-        if (opts_.gnn_reuse) {
-          const std::vector<bool>& stable_row =
-              (l == 0) ? cls.feature_stable : plan.unchanged[l - 1];
-          const Matrix* prev_in = nullptr;
-          if (opts_.count_redundancy && tk > 0) {
-            prev_in = (l == 0) ? &g.snapshot(t - 1).features : &cur[tk - 1];
-          }
-          charge_concurrent_traffic(snap, compute_rows, stable_row, in,
-                                    prev_in, traffic, res.gnn_counts);
+        const Matrix* prev_in = nullptr;
+        if (opts_.count_redundancy && tk > 0) {
+          prev_in = (l == 0) ? &g.snapshot(t - 1).features : &cur[tk - 1];
         }
+        charge_concurrent_traffic(
+            tk == 0, l == 0 ? affected : plan.changed_rows[l - 1], in,
+            prev_in, res.gnn_counts);
       }
       std::swap(cur, nxt);
     }

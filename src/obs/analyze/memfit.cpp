@@ -5,6 +5,7 @@
 #include <ostream>
 
 #include "common/json_escape.hpp"
+#include "obs/jsonv.hpp"
 
 namespace tagnn::obs::analyze {
 
@@ -91,13 +92,16 @@ MemDiagnosis diagnose_memory(const MemFitInput& in) {
 
 void write_memory_diagnosis_json(std::ostream& os, const MemDiagnosis& d) {
   os << "{\"has_fit\": " << (d.has_fit ? "true" : "false")
-     << ", \"observed_scale\": " << d.observed_scale
-     << ", \"target_scale\": " << d.target_scale
-     << ", \"vertices\": " << d.vertices << ", \"edges\": " << d.edges
-     << ", \"snapshots\": " << d.snapshots
-     << ", \"bytes_per_vertex\": " << d.bytes_per_vertex
-     << ", \"bytes_per_edge\": " << d.bytes_per_edge
-     << ", \"budget_bytes\": " << d.budget_bytes
+     << ", \"observed_scale\": ";
+  write_json_number(os, d.observed_scale);
+  os << ", \"target_scale\": ";
+  write_json_number(os, d.target_scale);
+  os << ", \"vertices\": " << d.vertices << ", \"edges\": " << d.edges
+     << ", \"snapshots\": " << d.snapshots << ", \"bytes_per_vertex\": ";
+  write_json_number(os, d.bytes_per_vertex);
+  os << ", \"bytes_per_edge\": ";
+  write_json_number(os, d.bytes_per_edge);
+  os << ", \"budget_bytes\": " << d.budget_bytes
      << ", \"observed_total_bytes\": " << d.observed_total_bytes
      << ", \"projected_total_bytes\": " << d.projected_total_bytes
      << ", \"over_budget\": " << (d.over_budget ? "true" : "false")
@@ -110,8 +114,9 @@ void write_memory_diagnosis_json(std::ostream& os, const MemDiagnosis& d) {
     os << "{\"subsystem\": \"" << json_escape(f.subsystem)
        << "\", \"high_water_bytes\": " << f.high_water_bytes
        << ", \"basis\": \"" << json_escape(f.basis)
-       << "\", \"bytes_per_basis\": " << f.bytes_per_basis
-       << ", \"projected_bytes\": " << f.projected_bytes << "}";
+       << "\", \"bytes_per_basis\": ";
+    write_json_number(os, f.bytes_per_basis);
+    os << ", \"projected_bytes\": " << f.projected_bytes << "}";
   }
   os << "]}";
 }

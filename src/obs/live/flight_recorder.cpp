@@ -267,12 +267,4 @@ void FlightRecorder::dump_now(const char* cause) {
   ::fsync(fd);
 }
 
-std::uint64_t FlightRecorder::lines_recorded() const {
-  return next_seq_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t FlightRecorder::lines_dropped_oversize() const {
-  return dropped_.load(std::memory_order_relaxed);
-}
-
 }  // namespace tagnn::obs::live

@@ -66,9 +66,6 @@ class FlightRecorder {
   /// signal. Public for the forked-fault test.
   void dump_from_signal(int signal_number);
 
-  std::uint64_t lines_recorded() const;
-  std::uint64_t lines_dropped_oversize() const;
-
   /// Testing hook: closes the fd and clears the installed/dumped state
   /// and the ring so a test (or a forked child) can install onto a
   /// fresh path. The signal handlers themselves stay in place — they

@@ -192,7 +192,6 @@ void HttpServer::serve() {
     }
     handle_connection(conn);
     ::close(conn);
-    requests_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -209,7 +208,6 @@ void HttpServer::worker_loop() {
     }
     handle_connection(conn);
     ::close(conn);
-    requests_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -315,10 +313,6 @@ void HttpServer::stop() {
   for (const int fd : conn_queue_) ::close(fd);
   conn_queue_.clear();
   listen_fd_ = -1;
-}
-
-std::uint64_t HttpServer::requests_served() const {
-  return requests_.load(std::memory_order_relaxed);
 }
 
 namespace {

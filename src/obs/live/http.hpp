@@ -17,7 +17,6 @@
 // idempotent and joins every thread, so destruction is clean.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -84,9 +83,6 @@ class HttpServer {
   /// Shuts the listen socket down and joins accept + worker threads.
   void stop();
 
-  /// Requests served since start (for tests and the live metrics).
-  std::uint64_t requests_served() const;
-
  private:
   void serve();
   void worker_loop();
@@ -97,7 +93,6 @@ class HttpServer {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread thread_;
-  std::atomic<std::uint64_t> requests_{0};
 
   // Connection hand-off queue, used only when concurrency_ > 1.
   std::mutex queue_mu_;

@@ -11,9 +11,8 @@
 // never has to format anything.
 //
 // The sampler is part of the telemetry plane and sits behind the same
-// gate as the rest of it: start() is a no-op when telemetry is compiled
-// out or switched off at runtime, so a --no-telemetry run carries zero
-// sampler overhead.
+// gate as the rest of it: start() is a no-op when telemetry is switched
+// off, so a --no-telemetry run carries zero sampler overhead.
 #pragma once
 
 #include <atomic>

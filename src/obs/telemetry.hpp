@@ -1,23 +1,11 @@
-// Telemetry master switch.
-//
-// Two gates stack:
-//  * compile time — the TAGNN_TELEMETRY CMake option (default ON). When
-//    OFF, TAGNN_TELEMETRY_DISABLED is defined, telemetry_enabled() is a
-//    constant false and every instrumentation site folds away;
-//  * runtime — a process-wide atomic toggled by set_telemetry_enabled()
-//    (and `tagnn_sim --no-telemetry`). The hot-path cost with telemetry
-//    compiled in but running is one relaxed atomic load per event.
+// Telemetry master switch: a process-wide atomic toggled by
+// set_telemetry_enabled() (and `tagnn_sim --no-telemetry`). Each
+// instrumentation site pays one relaxed atomic load per event.
 #pragma once
 
 #include <atomic>
 
 namespace tagnn::obs {
-
-#if defined(TAGNN_TELEMETRY_DISABLED)
-inline constexpr bool kTelemetryCompiledIn = false;
-#else
-inline constexpr bool kTelemetryCompiledIn = true;
-#endif
 
 namespace detail {
 
@@ -28,17 +16,12 @@ inline std::atomic<bool>& telemetry_flag() {
 
 }  // namespace detail
 
-/// True when telemetry is compiled in and not switched off at runtime.
+/// True unless telemetry is switched off.
 inline bool telemetry_enabled() {
-  if constexpr (!kTelemetryCompiledIn) {
-    return false;
-  } else {
-    return detail::telemetry_flag().load(std::memory_order_relaxed);
-  }
+  return detail::telemetry_flag().load(std::memory_order_relaxed);
 }
 
-/// Flips the runtime switch; returns the previous value. A no-op gate
-/// when telemetry is compiled out (telemetry_enabled() stays false).
+/// Flips the switch; returns the previous value.
 inline bool set_telemetry_enabled(bool on) {
   return detail::telemetry_flag().exchange(on, std::memory_order_relaxed);
 }

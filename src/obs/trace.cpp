@@ -90,11 +90,6 @@ void TraceCollector::sim_span(int track_tid, std::string name,
   events_.push_back(std::move(e));
 }
 
-std::size_t TraceCollector::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
 void TraceCollector::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";

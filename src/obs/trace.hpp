@@ -73,7 +73,6 @@ class TraceCollector {
                 Cycle start_cycle, Cycle dur_cycles,
                 std::vector<TraceArg> args = {});
 
-  std::size_t size() const;
   double sim_clock_mhz() const { return sim_clock_mhz_; }
 
   /// JSON object form: {"displayTimeUnit": "ms", "traceEvents": [...]}

@@ -2,7 +2,7 @@
 //
 // The blocked GEMM walks C in row panels and B in (kc x nc) panels that
 // are packed into a contiguous scratch buffer, so the inner micro-kernel
-// streams one cache-resident panel while broadcasting `mr` rows of A.
+// streams one cache-resident panel while broadcasting four rows of A.
 // Accumulation order per output element is strictly ascending in k, the
 // same order the naive kernel and gemv use, so results are value-exact
 // against them and independent of the thread count.
@@ -21,9 +21,6 @@ struct GemmBlocking {
   std::size_t kc = 512;
   /// n-panel width (columns of B covered by one packed panel).
   std::size_t nc = 256;
-  /// Rows of A broadcast per micro-kernel invocation; every packed B
-  /// element loaded is reused mr times.
-  std::size_t mr = 4;
 };
 
 }  // namespace tagnn

@@ -6,8 +6,8 @@
 //        into a contiguous scratch buffer by the issuing thread
 //        (transpose-free: B is row-major and stays row-major);
 //   i  : row panels of A/C, split across the thread pool;
-//   micro-kernel: mr rows of A broadcast against the packed panel, so
-//        every packed element loaded from cache is reused mr times.
+//   micro-kernel: 4 rows of A broadcast against the packed panel, so
+//        every packed element loaded from cache is reused 4 times.
 //
 // The micro-kernels themselves come from the kernel registry
 // (tensor/kernel_registry.hpp): AVX2 when the host supports it, scalar

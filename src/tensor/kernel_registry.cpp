@@ -8,7 +8,6 @@
 // tagnn-lint: allow-file(hotpath-lock) -- force_mutex serialises rare force_isa calls; dispatch reads are lock-free
 #include "tensor/kernel_registry.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <mutex>
 
@@ -156,25 +155,6 @@ std::vector<std::pair<std::string, std::string>>
 KernelRegistry::active_variants() const {
   const OpTables& t = table(active_isa());
   return {{"gemm", t.gemm_name}, {"spmm", t.spmm_name}, {"vec", t.vec_name}};
-}
-
-std::vector<std::string> KernelRegistry::variants(std::string_view op) const {
-  const std::vector<Variant>* v = nullptr;
-  if (op == "gemm") v = &gemm_variants_;
-  if (op == "spmm") v = &spmm_variants_;
-  if (op == "vec") v = &vec_variants_;
-  if (v == nullptr) return {};
-  std::vector<const Variant*> sorted;
-  sorted.reserve(v->size());
-  for (const Variant& x : *v) sorted.push_back(&x);
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Variant* a, const Variant* b) {
-                     return a->priority > b->priority;
-                   });
-  std::vector<std::string> names;
-  names.reserve(sorted.size());
-  for (const Variant* x : sorted) names.push_back(x->name);
-  return names;
 }
 
 bool KernelRegistry::force_isa(std::string_view isa_or_auto,

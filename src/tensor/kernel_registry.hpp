@@ -139,8 +139,6 @@ class KernelRegistry {
   /// All (op, active-variant) pairs, op-name sorted — the report JSON's
   /// "kernels" object.
   std::vector<std::pair<std::string, std::string>> active_variants() const;
-  /// Registered variant names for one op, best first.
-  std::vector<std::string> variants(std::string_view op) const;
 
   // ---- Overrides. ----
   /// Caps dispatch at `isa_or_auto` ("scalar", "avx2", "auto"/""/

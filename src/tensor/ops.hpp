@@ -26,12 +26,12 @@ namespace tagnn {
 namespace ops {
 
 struct GemmOpts {
-  /// Cache-blocking parameters (kc/nc/mr).
+  /// Cache-blocking parameters (kc/nc).
   GemmBlocking blocking{};
 };
 
 /// C = A * B. Shapes: (m x k) * (k x n) -> (m x n). Cache-blocked with
-/// B-panel packing and a registry-dispatched mr-row micro-kernel.
+/// B-panel packing and a registry-dispatched 4-row micro-kernel.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c,
           const GemmOpts& opts = {});
 

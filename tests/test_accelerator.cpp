@@ -73,18 +73,24 @@ TEST(Msdl, ProducesSameClassificationAsLibrary) {
   const WindowPlan plan = build_window_plan(s.g, w, /*reuse=*/true, 2);
   const WindowClassification cls = classify_window(s.g, w);
   EXPECT_EQ(plan.cls.clazz, cls.clazz);
-  EXPECT_EQ(plan.unchanged, unchanged_per_layer(s.g, w, cls, 2));
   EXPECT_EQ(plan.sub.vertices,
             extract_affected_subgraph(s.g, w, cls).vertices);
+  const auto unchanged = unchanged_per_layer(s.g, w, cls, 2);
   for (std::size_t l = 0; l < 2; ++l) {
-    // The row lists split the vertices by the mask, in ascending order.
+    // The row lists split the vertices by the library's sets, in
+    // ascending order.
     ASSERT_EQ(plan.changed_rows[l].size() + plan.unchanged_rows[l].size(),
               s.g.num_vertices());
     for (const VertexId v : plan.changed_rows[l]) {
-      EXPECT_FALSE(plan.unchanged[l][v]);
+      EXPECT_FALSE(unchanged[l][v]);
+    }
+    for (const VertexId v : plan.unchanged_rows[l]) {
+      EXPECT_TRUE(unchanged[l][v]);
     }
     EXPECT_TRUE(std::is_sorted(plan.changed_rows[l].begin(),
                                plan.changed_rows[l].end()));
+    EXPECT_TRUE(std::is_sorted(plan.unchanged_rows[l].begin(),
+                               plan.unchanged_rows[l].end()));
   }
   std::size_t outside = 0;
   for (VertexId v = 0; v < s.g.num_vertices(); ++v) {

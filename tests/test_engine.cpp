@@ -2,12 +2,15 @@
 // engine vs the reference, skipping behaviour, op accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/thread_pool.hpp"
+#include "graph/classify.hpp"
 #include "graph/datasets.hpp"
 #include "nn/engine.hpp"
 #include "nn/gcn.hpp"
@@ -99,6 +102,105 @@ TEST(Engine, ConcurrentHasLowerRedundancy) {
   const EngineResult ref = ReferenceEngine().run(s.g, s.w);
   EXPECT_LT(con.total_counts().redundant_bytes,
             ref.total_counts().redundant_bytes);
+}
+
+// OADL's feature traffic by its definition, recomputed serially for
+// every window, layer and snapshot. A row whose layer-l input is stable
+// across the window (its feature at layer 0, its layer-(l-1) output
+// deeper) is charged once per window; any other row at every snapshot
+// that fetches it. The first snapshot fetches all rows; a later one the
+// rows layer l recomputes and their neighbours. A charged non-stable
+// row equal to the previous snapshot's layer input is redundant.
+// `inputs[l][t]` is layer l's input at snapshot t.
+struct TrafficCharge {
+  double feature_bytes = 0;
+  double redundant_bytes = 0;
+};
+
+TrafficCharge traffic_by_definition(
+    const DynamicGraph& g, const std::vector<std::vector<Matrix>>& inputs,
+    SnapshotId window, bool redundancy) {
+  const VertexId n = g.num_vertices();
+  const std::size_t layers = inputs.size();
+  const auto total = static_cast<SnapshotId>(g.num_snapshots());
+  TrafficCharge c;
+  for (SnapshotId start = 0; start < total; start += window) {
+    const Window w{start, std::min<SnapshotId>(window, total - start)};
+    const WindowClassification cls = classify_window(g, w);
+    const auto unchanged = unchanged_per_layer(g, w, cls, layers);
+    for (std::size_t l = 0; l < layers; ++l) {
+      std::vector<bool> charged_in_window(n, false);
+      for (SnapshotId t = w.start; t < w.end(); ++t) {
+        std::vector<bool> fetched(n, t == w.start);
+        if (t > w.start) {
+          for (VertexId v = 0; v < n; ++v) {
+            if (unchanged[l][v]) continue;
+            fetched[v] = true;
+            for (const VertexId u : g.snapshot(t).graph.neighbors(v)) {
+              fetched[u] = true;
+            }
+          }
+        }
+        const Matrix& in = inputs[l][t];
+        std::size_t rows = 0, same = 0;
+        for (VertexId v = 0; v < n; ++v) {
+          if (!fetched[v]) continue;
+          if (l == 0 ? cls.feature_stable[v] : unchanged[l - 1][v]) {
+            if (!charged_in_window[v]) ++rows;
+            charged_in_window[v] = true;
+            continue;
+          }
+          ++rows;
+          if (redundancy && t > w.start) {
+            const auto a = in.row(v);
+            const auto b = inputs[l][t - 1].row(v);
+            same += std::equal(a.begin(), a.end(), b.begin()) ? 1 : 0;
+          }
+        }
+        const auto d = static_cast<double>(in.cols());
+        c.feature_bytes += static_cast<double>(rows) * d * 4.0;
+        c.redundant_bytes += static_cast<double>(same) * d * 4.0;
+      }
+    }
+  }
+  return c;
+}
+
+TEST(Engine, ConcurrentTrafficMatchesItsDefinition) {
+  for (const char* model : {"T-GCN", "GC-LSTM", "CD-GCN"}) {
+    for (const char* dataset : {"HP", "GT", "ML", "EP"}) {
+      const Scenario s = make(model, dataset, 0.1, 6);
+      // Every layer's input at every snapshot, all rows computed.
+      const std::size_t layers = s.w.config.gnn_layers;
+      std::vector<std::vector<Matrix>> inputs(layers);
+      for (SnapshotId t = 0; t < s.g.num_snapshots(); ++t) {
+        const Snapshot& snap = s.g.snapshot(t);
+        inputs[0].push_back(snap.features);
+        for (std::size_t l = 1; l < layers; ++l) {
+          OpCounts unused;
+          inputs[l].emplace_back();
+          gcn_layer_forward(snap, inputs[l - 1][t], s.w.gnn[l - 1], {},
+                            inputs[l][t], unused);
+        }
+      }
+      for (SnapshotId window = 1; window <= 4; ++window) {
+        for (const bool redundancy : {false, true}) {
+          SCOPED_TRACE(std::string(model) + " " + dataset + " window " +
+                       std::to_string(window) +
+                       (redundancy ? " redundancy" : ""));
+          EngineOptions opts;
+          opts.window_size = window;
+          opts.count_redundancy = redundancy;
+          opts.store_outputs = false;
+          const EngineResult r = ConcurrentEngine(opts).run(s.g, s.w);
+          const TrafficCharge want =
+              traffic_by_definition(s.g, inputs, window, redundancy);
+          EXPECT_EQ(r.gnn_counts.feature_bytes, want.feature_bytes);
+          EXPECT_EQ(r.gnn_counts.redundant_bytes, want.redundant_bytes);
+        }
+      }
+    }
+  }
 }
 
 TEST(Engine, SkippingSkipsAnddelta) {

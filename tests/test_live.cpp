@@ -42,12 +42,6 @@ using obs::live::LivePlane;
 using obs::live::LiveSample;
 using obs::live::LiveSampler;
 
-#define TAGNN_REQUIRE_TELEMETRY()                                      \
-  if (!obs::telemetry_enabled()) {                                     \
-    GTEST_SKIP() << "telemetry compiled out (TAGNN_TELEMETRY=OFF)";    \
-  }                                                                    \
-  static_assert(true, "require a trailing semicolon")
-
 std::string temp_path(const char* tag) {
   return "/tmp/tagnn_test_live_" + std::string(tag) + "_" +
          std::to_string(::getpid()) + ".jsonl";
@@ -148,7 +142,6 @@ TEST(OpenMetrics, NonFiniteValuesUseExpositionSpellings) {
 
 TEST(LiveSampler, RatesAreResetTolerant) {
   obs::ScopedTelemetryEnabled on(true);
-  TAGNN_REQUIRE_TELEMETRY();
   obs::MetricsRegistry::global().reset();
   obs::count("live_test.ticks", 100);
 
@@ -192,7 +185,6 @@ TEST(LiveSampler, RatesAreResetTolerant) {
 // TSan preset turns this into a real data-race check on its mutex.
 TEST(LiveSampler, ConcurrentTickAndReadStress) {
   obs::ScopedTelemetryEnabled on(true);
-  TAGNN_REQUIRE_TELEMETRY();
   LiveSampler sampler(/*interval_ms=*/60000);
   std::atomic<bool> stop{false};
   std::thread ticker([&] {
@@ -223,7 +215,6 @@ TEST(LiveSampler, ConcurrentTickAndReadStress) {
 
 TEST(LiveSampler, BackgroundThreadTicksAndStopsCleanly) {
   obs::ScopedTelemetryEnabled on(true);
-  TAGNN_REQUIRE_TELEMETRY();
   LiveSampler sampler(/*interval_ms=*/5);
   sampler.start();
   EXPECT_TRUE(sampler.running());
@@ -268,7 +259,6 @@ TEST(HttpServer, ServesRegisteredPathsAnd404) {
   EXPECT_EQ(r.status, 404);
 
   server.stop();
-  EXPECT_GE(server.requests_served(), 2u);
   r = obs::live::http_get("127.0.0.1", server.port(), "/hello");
   EXPECT_FALSE(r.ok) << "server still answering after stop()";
 }
@@ -277,7 +267,6 @@ TEST(HttpServer, ServesRegisteredPathsAnd404) {
 
 TEST(LivePlane, EndpointsRoundTrip) {
   obs::ScopedTelemetryEnabled on(true);
-  TAGNN_REQUIRE_TELEMETRY();
   obs::MetricsRegistry::global().reset();
   obs::count("tagnn.live_test.plane_events", 7);
 
@@ -325,7 +314,6 @@ TEST(LivePlane, EndpointsRoundTrip) {
 // fresh scrape, so between ticks they agree with each other.
 TEST(LivePlane, EndpointsServeTheNewestTick) {
   obs::ScopedTelemetryEnabled on(true);
-  TAGNN_REQUIRE_TELEMETRY();
   obs::MetricsRegistry::global().reset();
   obs::count("tagnn.live_test.newest_tick", 7);
 
@@ -420,7 +408,6 @@ TEST(JsonlValid, AcceptsLinesAndToleratesTornFinal) {
 
 TEST(FlightRecorder, DumpNowWritesRingAndFinalScrape) {
   obs::ScopedTelemetryEnabled on(true);
-  TAGNN_REQUIRE_TELEMETRY();
   FlightRecorder& fr = FlightRecorder::global();
   fr.reset_for_test();
   const std::string path = temp_path("dump_now");
@@ -433,9 +420,7 @@ TEST(FlightRecorder, DumpNowWritesRingAndFinalScrape) {
   for (int i = 0; i < 20; ++i) {  // more lines than slots: oldest drop off
     fr.record_line("{\"line\": " + std::to_string(i) + "}");
   }
-  EXPECT_EQ(fr.lines_recorded(), 20u);
   fr.record_line(std::string(FlightRecorder::kSlotBytes, 'x'));
-  EXPECT_EQ(fr.lines_dropped_oversize(), 1u);
 
   fr.dump_now("test");
   const std::string text = slurp(path);
@@ -447,7 +432,8 @@ TEST(FlightRecorder, DumpNowWritesRingAndFinalScrape) {
   EXPECT_NE(text.find("\"event\": \"begin\""), std::string::npos);
   EXPECT_NE(text.find("\"event\": \"final_scrape\""), std::string::npos);
   EXPECT_NE(text.find("\"cause\": \"test\""), std::string::npos);
-  EXPECT_NE(text.find("\"dropped_oversize\": 1"), std::string::npos);
+  EXPECT_NE(text.find("\"recorded\": 20,"), std::string::npos);
+  EXPECT_NE(text.find("\"dropped_oversize\": 1,"), std::string::npos);
   // The oldest surviving slot is line 4 (20 lines through 16 slots).
   EXPECT_EQ(text.find("{\"line\": 3}"), std::string::npos);
   EXPECT_NE(text.find("{\"line\": 4}"), std::string::npos);

@@ -5,6 +5,7 @@
 // measures *deltas* against the process-global registry so the suite
 // stays order-independent; the leak invariants double as ASan fodder.
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generator.hpp"
+#include "obs/analyze/jparse.hpp"
 #include "obs/analyze/memfit.hpp"
 #include "obs/jsonv.hpp"
 #include "obs/mem/memtrack.hpp"
@@ -345,6 +347,22 @@ TEST(MemFit, JsonEscapesItsStrings) {
   analyze::write_memory_diagnosis_json(os, d);
   std::string err;
   EXPECT_TRUE(tagnn::obs::json_valid(os.str(), &err)) << err;
+}
+
+TEST(MemFit, JsonWritesEveryDoubleAsANumber) {
+  // tagnn_report render re-emits these doubles: a non-finite one must
+  // become null, not `inf`, and the others must keep every digit.
+  analyze::MemDiagnosis d;
+  d.bytes_per_vertex = std::numeric_limits<double>::infinity();
+  d.bytes_per_edge = 1.0 / 3.0;  // needs 17 significant digits
+  std::ostringstream os;
+  analyze::write_memory_diagnosis_json(os, d);
+  analyze::JsonValue j;
+  std::string err;
+  ASSERT_TRUE(analyze::json_parse(os.str(), &j, &err)) << err << os.str();
+  ASSERT_NE(j.find("bytes_per_vertex"), nullptr);
+  EXPECT_TRUE(j.find("bytes_per_vertex")->is_null());
+  EXPECT_EQ(j.number_at("bytes_per_edge"), 1.0 / 3.0);
 }
 
 TEST(MemFit, UnknownShapeYieldsNoFit) {
